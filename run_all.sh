@@ -12,6 +12,11 @@
 #   ./run_all.sh --huge          the translation-reach suite only: huged
 #                                collapse/split tests, the huge audit-fuzz
 #                                cases, and the promotion-policy bench
+#   ./run_all.sh --golden        the golden sweep into results/: every bench
+#                                smoked, every scenarios/*.scn, and the
+#                                named-config sweep of bench_fig10 and
+#                                bench_table4; then diffs results/ against
+#                                ci/bench-baseline (exit 1 on any diff)
 #   ./run_all.sh --jobs N        worker threads per bench (default: cores)
 #   ./run_all.sh --json-out DIR  write BENCH_<name>.json files into DIR
 #   ./run_all.sh --smoke         reduced footprints (CI-sized runs)
@@ -20,6 +25,7 @@ set -e
 JOBS=""
 JSON_OUT=""
 SMOKE=""
+GOLDEN=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --asan)
@@ -48,6 +54,9 @@ while [ $# -gt 0 ]; do
       ./build/bench/bench_largepage --smoke
       exit 0
       ;;
+    --golden)
+      GOLDEN=1
+      ;;
     --jobs)
       JOBS="--jobs $2"
       shift
@@ -69,6 +78,34 @@ done
 
 cmake -B build -G Ninja
 cmake --build build
+
+if [ -n "$GOLDEN" ]; then
+  # Simulated metrics are bit-identical at any --jobs value, so every file
+  # written here must match its ci/bench-baseline counterpart exactly.
+  rm -rf results
+  mkdir -p results/scenarios
+  # shellcheck disable=SC2086  # JOBS is a deliberate word list
+  for b in build/bench/bench_*; do
+    echo "== $b =="
+    "$b" --smoke $JOBS --json-out results
+  done
+  # shellcheck disable=SC2086
+  ./build/bench/bench_scenario --smoke $JOBS --json-out results/scenarios \
+      scenarios/*.scn
+  for cfg in stock stock-2mb shared-ptp shared-ptp-2mb shared-ptp-tlb \
+      shared-ptp-tlb-2mb copied-ptes huge numa; do
+    mkdir -p "results/config-$cfg"
+    # shellcheck disable=SC2086
+    ./build/bench/bench_fig10 --smoke $JOBS --config "$cfg" \
+        --json-out "results/config-$cfg"
+    # shellcheck disable=SC2086
+    ./build/bench/bench_table4 --smoke $JOBS --config "$cfg" \
+        --json-out "results/config-$cfg"
+  done
+  python3 tools/bench_diff.py ci/bench-baseline results
+  exit 0
+fi
+
 ctest --test-dir build --output-on-failure
 
 BENCH_FLAGS="$JOBS $SMOKE"

@@ -25,28 +25,9 @@
 
 namespace sat {
 
-struct ZygoteParams {
-  KernelParams kernel;
-  MappingPolicy mapping_policy = MappingPolicy::kOriginal;
-  // Map preloaded code with 64 KB large pages (Section 2.3.3 complement).
-  bool large_code_pages = false;
-  // Boot-time footprint (Table 4 reports 5,900 populated instruction PTEs).
-  uint32_t boot_code_pages = 5900;
-  // Anonymous heap shape: region count x pages touched per region. With
-  // the stock kernel these PTEs are copied at every fork (the 3,900 PTE /
-  // 38 PTP cost Table 4 attributes to the stock fork).
-  uint32_t anon_regions = 30;
-  uint32_t anon_pages_per_region = 100;
-  // Library data pages the zygote dirties during boot (static init).
-  uint32_t boot_data_writes = 800;
-  // Stack pages the zygote has touched (7 in Table 4).
-  uint32_t stack_pages = 7;
-  uint64_t seed = 42;
-};
-
 class ZygoteSystem {
  public:
-  explicit ZygoteSystem(const ZygoteParams& params);
+  explicit ZygoteSystem(const SystemConfig& config);
 
   Kernel& kernel() { return *kernel_; }
   DynamicLoader& loader() { return *loader_; }
@@ -74,13 +55,11 @@ class ZygoteSystem {
   // from the zygote" when PTPs are shared.
   uint32_t CountInheritedPtes(Task& task, const AppFootprint& fp) const;
 
-  const ZygoteParams& params() const { return params_; }
   const AppFootprint& zygote_boot_footprint() const { return boot_footprint_; }
 
  private:
   void Boot();
 
-  ZygoteParams params_;
   LibraryCatalog catalog_;
   std::unique_ptr<Kernel> kernel_;
   std::unique_ptr<DynamicLoader> loader_;

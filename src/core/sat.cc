@@ -4,50 +4,33 @@
 
 namespace sat {
 
-namespace {
-
-SystemConfig MakeConfig(bool share_ptps, bool share_tlb, bool two_mb,
-                        bool copy_ptes) {
-  SystemConfig config;
-  config.share_ptps = share_ptps;
-  config.share_tlb = share_tlb;
-  config.two_mb_alignment = two_mb;
-  config.copy_ptes_at_fork = copy_ptes;
-  return config;
-}
-
-SystemConfig MakeHugeConfig() {
-  // The translation-reach configuration: the full shared design plus the
-  // promotion daemon and eager zygote-code sections.
-  SystemConfig config = MakeConfig(true, true, false, false);
-  config.huge = true;
-  return config;
-}
-
-SystemConfig MakeNumaConfig() {
-  // The numaPTE-vs-sharing configuration: the full shared design on a
-  // two-node four-core machine with numad replicating hot PTPs.
-  SystemConfig config = MakeConfig(true, true, false, false);
-  config.num_cores = 4;
-  config.num_nodes = 2;
-  config.pt_placement = PtPlacement::kReplicate;
-  return config;
-}
-
-}  // namespace
-
 const std::vector<NamedSystemConfig>& NamedConfigs() {
   static const std::vector<NamedSystemConfig>* registry =
       new std::vector<NamedSystemConfig>{
-          {"stock", MakeConfig(false, false, false, false)},
-          {"stock-2mb", MakeConfig(false, false, true, false)},
-          {"shared-ptp", MakeConfig(true, false, false, false)},
-          {"shared-ptp-2mb", MakeConfig(true, false, true, false)},
-          {"shared-ptp-tlb", MakeConfig(true, true, false, false)},
-          {"shared-ptp-tlb-2mb", MakeConfig(true, true, true, false)},
-          {"copied-ptes", MakeConfig(false, false, false, true)},
-          {"huge", MakeHugeConfig()},
-          {"numa", MakeNumaConfig()},
+          {"stock", {}},
+          {"stock-2mb", {.two_mb_alignment = true}},
+          {"shared-ptp", {.vm = {.share_ptps = true}}},
+          {"shared-ptp-2mb",
+           {.vm = {.share_ptps = true}, .two_mb_alignment = true}},
+          {"shared-ptp-tlb",
+           {.vm = {.share_ptps = true, .share_tlb_global = true}}},
+          {"shared-ptp-tlb-2mb",
+           {.vm = {.share_ptps = true, .share_tlb_global = true},
+            .two_mb_alignment = true}},
+          {"copied-ptes", {.vm = {.copy_zygote_code_ptes_at_fork = true}}},
+          // The translation-reach configuration: the full shared design
+          // plus the promotion daemon and eager zygote-code sections.
+          {"huge",
+           {.vm = {.share_ptps = true, .share_tlb_global = true},
+            .huge = true}},
+          // The numaPTE-vs-sharing configuration: the full shared design
+          // on a two-node four-core machine with numad replicating hot
+          // PTPs.
+          {"numa",
+           {.vm = {.share_ptps = true, .share_tlb_global = true},
+            .num_cores = 4,
+            .num_nodes = 2,
+            .pt_placement = PtPlacement::kReplicate}},
       };
   return *registry;
 }
@@ -78,107 +61,9 @@ std::string NamedConfigKeyList() {
   return list;
 }
 
-std::string SystemConfig::Name() const {
-  std::string name;
-  if (copy_ptes_at_fork) {
-    name = "Copied PTEs";
-  } else if (share_ptps && share_tlb) {
-    name = "Shared PTP & TLB";
-  } else if (share_ptps) {
-    name = "Shared PTP";
-  } else {
-    name = "Stock Android";
-  }
-  if (two_mb_alignment) {
-    name += " - 2MB";
-  }
-  if (!asids_enabled) {
-    name += " (no ASID)";
-  }
-  if (copy_referenced_only_on_unshare) {
-    name += " [ref-only unshare]";
-  }
-  if (lazy_unshare_on_new_region) {
-    name += " [lazy unshare]";
-  }
-  if (hw_l1_write_protect) {
-    name += " [L1 WP]";
-  }
-  if (large_pages_for_code) {
-    name += " [64KB code]";
-  }
-  if (fault_around_pages > 0) {
-    name += " [FA" + std::to_string(fault_around_pages) + "]";
-  }
-  if (isolation != IsolationModel::kArmDomains) {
-    name += std::string(" [") + IsolationModelName(isolation) + "]";
-  }
-  if (swap_bytes > 0) {
-    name += " [zram " + std::to_string(swap_bytes >> 20) + "MB]";
-  }
-  if (ksm) {
-    name += " [ksm]";
-  }
-  if (scrub) {
-    name += " [scrub]";
-  }
-  if (huge) {
-    name += huge_unmerge_ksm ? " [huge+unmerge]" : " [huge]";
-  }
-  if (num_cores > 1) {
-    name += " [" + std::to_string(num_cores) + " cores";
-    if (num_nodes > 1) {
-      name += ", " + std::to_string(num_nodes) + " nodes";
-      if (pt_placement != PtPlacement::kLocal) {
-        name += std::string(", pt-") + PtPlacementName(pt_placement);
-      }
-    }
-    name += "]";
-  }
-  if (shootdown_policy == ShootdownPolicy::kBatched) {
-    name += " [batched shootdown]";
-  }
-  return name;
-}
-
-ZygoteParams SystemConfig::ToZygoteParams() const {
-  ZygoteParams params;
-  params.kernel.phys_bytes = phys_bytes;
-  params.kernel.swap_bytes = swap_bytes;
-  params.kernel.vm.share_ptps = share_ptps;
-  params.kernel.vm.share_tlb_global = share_tlb;
-  params.kernel.vm.copy_zygote_code_ptes_at_fork = copy_ptes_at_fork;
-  params.kernel.vm.copy_referenced_only_on_unshare =
-      copy_referenced_only_on_unshare;
-  params.kernel.vm.lazy_unshare_on_new_region = lazy_unshare_on_new_region;
-  params.kernel.vm.hw_l1_write_protect = hw_l1_write_protect;
-  params.kernel.vm.fault_around_pages = fault_around_pages;
-  params.kernel.core.asids_enabled = asids_enabled;
-  params.kernel.core.isolation = isolation;
-  params.kernel.num_cores = num_cores;
-  params.kernel.num_nodes = num_nodes;
-  params.kernel.pt_placement = pt_placement;
-  params.kernel.numad_wake_interval = numad_wake_interval;
-  params.kernel.numad_remote_threshold = numad_remote_threshold;
-  params.kernel.shootdown_policy = shootdown_policy;
-  params.kernel.trace = trace;
-  params.kernel.ksm_enabled = ksm;
-  params.kernel.ksm_wake_interval = ksm_wake_interval;
-  params.kernel.scrub = scrub;
-  params.kernel.scrub_wake_interval = scrub_wake_interval;
-  params.kernel.huge = huge;
-  params.kernel.huge_wake_interval = huge_wake_interval;
-  params.kernel.huge_unmerge_ksm = huge_unmerge_ksm;
-  params.mapping_policy = two_mb_alignment ? MappingPolicy::kTwoMbAligned
-                                           : MappingPolicy::kOriginal;
-  params.large_code_pages = large_pages_for_code;
-  params.seed = seed;
-  return params;
-}
-
 System::System(const SystemConfig& config)
     : config_(config), name_(config.Name()) {
-  zygote_system_ = std::make_unique<ZygoteSystem>(config.ToZygoteParams());
+  zygote_system_ = std::make_unique<ZygoteSystem>(config);
 }
 
 }  // namespace sat

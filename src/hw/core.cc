@@ -49,9 +49,9 @@ Core::Core(const CostModel* costs, Cache* l2, KernelCounters* kernel_counters,
       kernel_counters_(kernel_counters),
       config_(config),
       caches_(costs, l2),
-      main_tlb_(config.main_tlb_entries, config.main_tlb_ways),
-      micro_itlb_(config.micro_tlb_entries),
-      micro_dtlb_(config.micro_tlb_entries),
+      main_tlb_(kMainTlbEntries, kMainTlbWays),
+      micro_itlb_(kMicroTlbEntries),
+      micro_dtlb_(kMicroTlbEntries),
       kernel_text_base_(kernel_text_base) {}
 
 void Core::SwitchContext(const MmuContext& context) {

@@ -108,10 +108,12 @@ struct CoreConfig {
   bool asids_enabled = true;
   // How shared TLB entries are protected from non-members.
   IsolationModel isolation = IsolationModel::kArmDomains;
-  uint32_t main_tlb_entries = 128;
-  uint32_t main_tlb_ways = 4;
-  uint32_t micro_tlb_entries = 32;
 };
+
+// The Cortex-A9 TLB geometry every simulated core has.
+constexpr uint32_t kMainTlbEntries = 128;
+constexpr uint32_t kMainTlbWays = 4;
+constexpr uint32_t kMicroTlbEntries = 32;
 
 class Core {
  public:

@@ -38,6 +38,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "src/arch/pte.h"
@@ -66,6 +67,18 @@ constexpr const char* PtPlacementName(PtPlacement placement) {
       return "migrate";
   }
   return "?";
+}
+
+// The inverse of PtPlacementName; nullopt for any other word.
+constexpr std::optional<PtPlacement> TryParsePtPlacement(
+    std::string_view name) {
+  for (const PtPlacement placement :
+       {PtPlacement::kLocal, PtPlacement::kReplicate, PtPlacement::kMigrate}) {
+    if (name == PtPlacementName(placement)) {
+      return placement;
+    }
+  }
+  return std::nullopt;
 }
 
 class NumaEngine : public PtpWriteObserver {

@@ -37,12 +37,12 @@ const char* ErrnoName(Errno error) {
   return "?";
 }
 
-Kernel::Kernel(const KernelParams& params) : costs_(params.costs) {
-  tracer_ = std::make_unique<Tracer>(params.trace);
+Kernel::Kernel(const SystemConfig& config) : config_(config) {
+  tracer_ = std::make_unique<Tracer>(config_.trace);
   fault_injector_ =
-      std::make_unique<FaultInjector>(params.fault_injection_seed);
-  phys_ = std::make_unique<PhysicalMemory>(params.phys_bytes,
-                                           params.num_nodes);
+      std::make_unique<FaultInjector>(config_.fault_injection_seed);
+  phys_ = std::make_unique<PhysicalMemory>(config_.phys_bytes,
+                                           config_.num_nodes);
   phys_->set_fault_injector(fault_injector_.get());
   lru_ = std::make_unique<FrameLru>(phys_->total_frames());
   phys_->AddObserver(lru_.get());
@@ -50,10 +50,10 @@ Kernel::Kernel(const KernelParams& params) : costs_(params.costs) {
   ptp_allocator_ = std::make_unique<PtpAllocator>(phys_.get(), &counters_);
   // The zram store is always constructed; swap_bytes == 0 leaves it
   // disabled (TryStore always fails, no swap PTE is ever created).
-  zram_ = std::make_unique<ZramStore>(phys_.get(), params.swap_bytes,
-                                      params.fault_injection_seed);
+  zram_ = std::make_unique<ZramStore>(phys_.get(), config_.swap_bytes,
+                                      config_.fault_injection_seed);
   vm_ = std::make_unique<VmManager>(phys_.get(), page_cache_.get(), &counters_,
-                                    &costs_, params.vm);
+                                    &costs_, config_.vm);
   vm_->set_zram(zram_.get());
   reclaimer_ = std::make_unique<Reclaimer>(phys_.get(), page_cache_.get(),
                                            ptp_allocator_.get(), &rmap_,
@@ -63,54 +63,64 @@ Kernel::Kernel(const KernelParams& params) : costs_(params.costs) {
                                             lru_.get(), &counters_);
   // scrubd, like ksmd, is always constructed (RunScrubPass and the touch
   // path's inline repair work regardless); `scrub` only gates the periodic
-  // wake-ups.
+  // wake-ups (daemons_ below).
   scrubber_ = std::make_unique<Scrubber>(phys_.get(), ptp_allocator_.get(),
                                          &rmap_, zram_.get(), &counters_);
   scrubber_->set_flush_site([this](PtpId ptp, uint32_t index, VirtAddr va) {
     FlushScrubSite(ptp, index, va);
   });
-  scrub_enabled_ = params.scrub;
-  scrub_wake_interval_ = std::max<uint32_t>(1, params.scrub_wake_interval);
   // The KSM daemon is always constructed (so madvise(MERGEABLE) always
-  // works and tests can drive scans directly); ksm_enabled only gates the
+  // works and tests can drive scans directly); `ksm` only gates the
   // periodic wake-ups. It observes frame lifecycle to prune stable-tree
   // nodes whose frame is freed by any path.
   ksm_ = std::make_unique<KsmDaemon>(phys_.get(), ptp_allocator_.get(), &rmap_,
                                      vm_.get(), &counters_);
   phys_->AddObserver(ksm_.get());
-  ksm_enabled_ = params.ksm_enabled;
-  ksm_wake_interval_ = std::max<uint32_t>(1, params.ksm_wake_interval);
   // huged is always constructed (RunHugeScan and MapZygoteSections can be
   // driven directly); `huge` only gates the periodic wake-ups and the
   // boot-time section mapping.
   huge_ = std::make_unique<HugeDaemon>(phys_.get(), vm_.get(), &counters_);
-  huge_->set_unmerge_ksm(params.huge_unmerge_ksm);
-  huge_enabled_ = params.huge;
-  huge_wake_interval_ = std::max<uint32_t>(1, params.huge_wake_interval);
+  huge_->set_unmerge_ksm(config_.huge_unmerge_ksm);
   // The NUMA placement engine exists whenever the machine has more than
   // one node (it resolves walks and audits replicas even under kLocal,
   // where it never creates any); the numad daemon only ticks when the
   // policy asks for replication or migration.
-  if (params.num_nodes > 1) {
+  if (config_.num_nodes > 1) {
     numa_ = std::make_unique<NumaEngine>(phys_.get(), ptp_allocator_.get(),
-                                         &counters_, params.pt_placement,
-                                         params.numad_remote_threshold);
+                                         &counters_, config_.pt_placement,
+                                         config_.numad_remote_threshold);
     // The single write-through mutation path: every PTE write notifies
     // the engine so all replicas are rewritten in the same operation.
     ptp_allocator_->set_write_observer(numa_.get());
-    numad_enabled_ = params.pt_placement != PtPlacement::kLocal;
-    numad_wake_interval_ =
-        std::max<uint32_t>(1, params.numad_wake_interval);
   }
+  // The periodic daemon table RunKswapdIfNeeded ticks, in firing order.
+  // numad ticks only on a multi-node machine whose policy replicates or
+  // migrates.
+  const auto periodic = [](bool enabled, uint32_t interval,
+                           uint32_t (Kernel::*run)()) {
+    return PeriodicDaemon{.enabled = enabled,
+                          .interval = std::max<uint32_t>(1, interval),
+                          .run = run};
+  };
+  daemons_ = {
+      periodic(config_.ksm, config_.ksm_wake_interval, &Kernel::RunKsmScan),
+      periodic(config_.scrub, config_.scrub_wake_interval,
+               &Kernel::RunScrubPass),
+      periodic(config_.huge, config_.huge_wake_interval,
+               &Kernel::RunHugeScan),
+      periodic(config_.num_nodes > 1 &&
+                   config_.pt_placement != PtPlacement::kLocal,
+               config_.numad_wake_interval, &Kernel::RunNumadPass),
+  };
   // Watermarks, Linux-style: wake kswapd below `low`, stop at `high`.
   kswapd_low_watermark_ = static_cast<uint32_t>(
       std::max<uint64_t>(64, phys_->total_frames() / 16));
   kswapd_high_watermark_ = kswapd_low_watermark_ + kswapd_low_watermark_ / 2;
-  if (params.num_nodes > 1) {
+  if (config_.num_nodes > 1) {
     // Per-node watermarks: a node's free count can sink (pushing every
     // allocation remote) while the machine-wide count looks healthy.
     kswapd_node_low_watermark_ = std::max<uint32_t>(
-        16, kswapd_low_watermark_ / params.num_nodes);
+        16, kswapd_low_watermark_ / config_.num_nodes);
     kswapd_node_high_watermark_ =
         kswapd_node_low_watermark_ + kswapd_node_low_watermark_ / 2;
   }
@@ -120,10 +130,10 @@ Kernel::Kernel(const KernelParams& params) : costs_(params.costs) {
   const PhysAddr kernel_text_base = FrameToPhys(
       static_cast<FrameNumber>(phys_->total_frames()));
   machine_ = std::make_unique<Machine>(&costs_, &counters_, kernel_text_base,
-                                       params.core, params.num_cores,
-                                       params.num_nodes,
-                                       params.shootdown_policy);
-  if (params.num_nodes > 1) {
+                                       config_.core, config_.num_cores,
+                                       config_.num_nodes,
+                                       config_.shootdown_policy);
+  if (config_.num_nodes > 1) {
     for (uint32_t i = 0; i < machine_->num_cores(); ++i) {
       machine_->core(i).ConfigureNuma(machine_->NodeOfCore(i),
                                       phys_->frames_per_node());
@@ -763,7 +773,7 @@ uint32_t Kernel::RunHugeScan() {
 }
 
 uint32_t Kernel::MapZygoteSections(Task& task) {
-  if (!huge_enabled_) {
+  if (!config_.huge) {
     return 0;
   }
   SAT_CHECK(task.mm != nullptr);
@@ -849,46 +859,23 @@ uint32_t Kernel::MapZygoteSections(Task& task) {
 }
 
 void Kernel::RunKswapdIfNeeded() {
-  // ksmd shares kswapd's wake points but fires on a wake-count period,
-  // not the watermark — merging saves memory even before pressure. Placed
-  // ahead of the zram gate so KSM works with swap disabled.
-  if (ksm_enabled_ && !in_ksmd_ && !in_kswapd_ &&
-      ++ksm_wake_ticks_ >= ksm_wake_interval_) {
-    ksm_wake_ticks_ = 0;
-    in_ksmd_ = true;
-    RunKsmScan();
-    in_ksmd_ = false;
-  }
-  // scrubd shares the wake points the same way: a wake-count period, not
-  // the watermark — corruption does not wait for memory pressure. Callers
-  // on a task's behalf must re-check task.alive afterwards: a pass that
+  // The periodic daemons share kswapd's wake points but fire on a
+  // wake-count period, not the watermark: merging, scrubbing, promotion
+  // and placement do not wait for memory pressure, and all of them run
+  // with swap disabled. Daemon k is skipped — without counting the wake-up
+  // — while kswapd or any daemon at index <= k is mid-pass. Callers on a
+  // task's behalf must re-check task.alive afterwards: a scrub pass that
   // found unrepairable damage kills the sharers right here.
-  if (scrub_enabled_ && !in_scrubd_ && !in_ksmd_ && !in_kswapd_ &&
-      ++scrub_wake_ticks_ >= scrub_wake_interval_) {
-    scrub_wake_ticks_ = 0;
-    in_scrubd_ = true;
-    RunScrubPass();
-    in_scrubd_ = false;
-  }
-  // huged: the same wake-count pattern once more. Promotion is a reach
-  // optimization, not a pressure response, so it fires regardless of the
-  // watermark (and regardless of whether swap exists).
-  if (huge_enabled_ && !in_huged_ && !in_scrubd_ && !in_ksmd_ &&
-      !in_kswapd_ && ++huge_wake_ticks_ >= huge_wake_interval_) {
-    huge_wake_ticks_ = 0;
-    in_huged_ = true;
-    RunHugeScan();
-    in_huged_ = false;
-  }
-  // numad: placement is a locality optimization, not a pressure response,
-  // so it too fires on a wake-count period regardless of the watermark.
-  if (numad_enabled_ && !in_numad_ && !in_huged_ && !in_scrubd_ &&
-      !in_ksmd_ && !in_kswapd_ &&
-      ++numad_wake_ticks_ >= numad_wake_interval_) {
-    numad_wake_ticks_ = 0;
-    in_numad_ = true;
-    RunNumadPass();
-    in_numad_ = false;
+  bool busy = in_kswapd_;
+  for (PeriodicDaemon& daemon : daemons_) {
+    busy = busy || daemon.running;
+    if (!daemon.enabled || busy || ++daemon.ticks < daemon.interval) {
+      continue;
+    }
+    daemon.ticks = 0;
+    daemon.running = true;
+    (this->*daemon.run)();
+    daemon.running = false;
   }
   if (numa_ != nullptr) {
     SyncNumaCounters();

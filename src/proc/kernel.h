@@ -30,6 +30,7 @@
 #include "src/mem/phys_memory.h"
 #include "src/mem/zram.h"
 #include "src/numa/numa.h"
+#include "src/proc/config.h"
 #include "src/pt/ptp.h"
 #include "src/stats/cost_model.h"
 #include "src/stats/counters.h"
@@ -43,69 +44,6 @@
 #include "src/vm/vm_manager.h"
 
 namespace sat {
-
-struct KernelParams {
-  uint64_t phys_bytes = 512ull * 1024 * 1024;
-  // Capacity of the compressed swap store (zram disksize). 0 disables
-  // swap entirely: no swap PTEs, no kswapd, reclaim behaves as before.
-  uint64_t swap_bytes = 0;
-  VmConfig vm;
-  CoreConfig core;
-  // Number of simulated cores (the paper's Tegra 3 has four; its
-  // experiments pin to one). TLB maintenance becomes an IPI shootdown
-  // over each address space's cpumask when > 1.
-  uint32_t num_cores = 1;
-  // NUMA nodes: cores and physical frames are split into this many equal
-  // contiguous blocks. Off-node L2 misses and cross-node IPIs pay the
-  // cost model's remote surcharges. Must divide num_cores.
-  uint32_t num_nodes = 1;
-  // How TLB shootdowns reach remote cores: kImmediate IPIs on every
-  // flush; kBatched defers remote flushes to per-core queues drained at
-  // the kernel's sync points (context switch, syscall return, fault
-  // return, daemon tick) — one IPI per distinct target per drain.
-  ShootdownPolicy shootdown_policy = ShootdownPolicy::kImmediate;
-  CostModel costs = CostModel::Default();
-  // Event tracing (off by default; never charges simulated cycles).
-  TraceConfig trace;
-  // Seed for the deterministic allocation-failure injector (inert until a
-  // rule is set via kernel.fault_injector().SetRule(...)).
-  uint64_t fault_injection_seed = 42;
-  // KSM same-page merging (src/ksm). When enabled, a ksmd scan pass runs
-  // from the same wake points as kswapd, every `ksm_wake_interval`-th
-  // wake-up; RunKsmScan() also drives passes directly. The daemon itself
-  // is always constructed so madvise(MERGEABLE) is always accepted.
-  bool ksm_enabled = false;
-  uint32_t ksm_wake_interval = 1024;
-  // scrubd corruption scrubbing (src/vm/scrub). When enabled, an
-  // incremental scrub pass — PTPs cross-checked against the rmap, zram
-  // slots against their checksums, TLB entries against the page tables —
-  // runs from the kswapd/ksmd wake points every `scrub_wake_interval`-th
-  // wake-up. RunScrubPass() also drives passes directly.
-  bool scrub = false;
-  uint32_t scrub_wake_interval = 512;
-  // huged large-page promotion (src/huge). When enabled, a khugepaged-
-  // style pass — collapsing eligible 64 KB runs of 4 KB PTEs into large
-  // PTEs, migrating frames when they are not contiguous — runs from the
-  // same wake points every `huge_wake_interval`-th wake-up, and the
-  // zygote's preloaded code is eagerly mapped with 1 MB sections at boot.
-  // RunHugeScan() also drives passes directly.
-  bool huge = false;
-  uint32_t huge_wake_interval = 1024;
-  // Let huged trade KSM dedup back for reach: a collapse may copy stable
-  // frames' content into the new contiguous block (an unmerge). Off by
-  // default — deduplicated memory usually wins on a memory-tight phone.
-  bool huge_unmerge_ksm = false;
-  // NUMA page-table placement (src/numa). On a multi-node machine the
-  // engine is always constructed (it resolves walks and audits replicas);
-  // the numad daemon only ticks when the policy is not kLocal. numad runs
-  // from the same wake points as the other daemons every
-  // `numad_wake_interval`-th wake-up; RunNumadPass() also drives passes
-  // directly. A PTP is promoted (kReplicate) or migrated (kMigrate) after
-  // `numad_remote_threshold` remote walks between passes.
-  PtPlacement pt_placement = PtPlacement::kLocal;
-  uint32_t numad_wake_interval = 1024;
-  uint32_t numad_remote_threshold = 8;
-};
 
 // How a TouchPage access ended.
 enum class TouchStatus : uint8_t {
@@ -125,7 +63,7 @@ enum class MadviseAdvice : uint8_t {
 
 class Kernel {
  public:
-  explicit Kernel(const KernelParams& params);
+  explicit Kernel(const SystemConfig& config);
 
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
@@ -221,12 +159,12 @@ class Kernel {
   uint32_t SwapOutAnonPages(uint32_t target);
 
   // One full ksmd pass over every live task's mergeable regions (also run
-  // periodically from the kswapd wake points when ksm_enabled). Returns
-  // the number of PTEs merged.
+  // periodically from the kswapd wake points when SystemConfig::ksm is
+  // set). Returns the number of PTEs merged.
   uint32_t RunKsmScan();
 
   // One incremental scrubd pass (also run periodically from the kswapd
-  // wake points when KernelParams::scrub is set): walks a batch of live
+  // wake points when SystemConfig::scrub is set): walks a batch of live
   // PTPs validating hardware descriptors against the shadow entries and
   // the rmap, checks zram slot checksums, and cross-checks main-TLB
   // entries against the page tables. Repairs what it can (rebuild from
@@ -237,7 +175,7 @@ class Kernel {
   uint32_t RunScrubPass();
 
   // One huged pass over every live task's anonymous regions (also run
-  // periodically from the kswapd wake points when KernelParams::huge is
+  // periodically from the kswapd wake points when SystemConfig::huge is
   // set): collapses eligible 64 KB runs into large PTEs. Returns blocks
   // collapsed.
   uint32_t RunHugeScan();
@@ -247,13 +185,13 @@ class Kernel {
   // fully covered, resident 1 MB half gets a permanent kernel-owned
   // contiguous copy of the file content, the underlying 4 KB PTEs are
   // cleared, and the section descriptor serves translations from then
-  // on. Returns sections mapped; 0 when KernelParams::huge is off.
+  // on. Returns sections mapped; 0 when SystemConfig::huge is off.
   uint32_t MapZygoteSections(Task& task);
 
   // One numad placement pass (also run periodically from the kswapd wake
   // points when pt_placement is not kLocal on a multi-node machine):
   // promotes walk-hot PTPs to replicated or migrates sole-owner PTPs to
-  // their dominant accessor's node, per KernelParams::pt_placement.
+  // their dominant accessor's node, per SystemConfig::pt_placement.
   // Returns promotions + migrations; 0 on a single-node machine.
   uint32_t RunNumadPass();
 
@@ -302,6 +240,8 @@ class Kernel {
   VmManager& vm() { return *vm_; }
   KernelCounters& counters() { return counters_; }
   const CostModel& costs() const { return costs_; }
+  // The configuration the kernel was built from.
+  const SystemConfig& config() const { return config_; }
   const VmConfig& vm_config() const { return vm_->config(); }
 
   // The event tracer, always constructed (a disabled tracer records
@@ -384,7 +324,7 @@ class Kernel {
   // follows the entering core's node.
   void SetActiveCore(uint32_t core_id);
 
-  CostModel costs_;
+  const CostModel costs_ = CostModel::Default();
   KernelCounters counters_;
   std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<FaultInjector> fault_injector_;
@@ -428,38 +368,27 @@ class Kernel {
   uint32_t kswapd_low_watermark_ = 0;
   uint32_t kswapd_high_watermark_ = 0;
   bool in_kswapd_ = false;
-  // ksmd state: scans fire from the same wake points as kswapd but on a
-  // wake-count period, not a watermark (KSM trades CPU for memory even
-  // without pressure). The guard keeps a scan's own allocations (the lazy
-  // PTP unshare) from waking another scan.
-  bool ksm_enabled_ = false;
-  uint32_t ksm_wake_interval_ = 0;
-  uint32_t ksm_wake_ticks_ = 0;
-  bool in_ksmd_ = false;
-  // scrubd state: same wake-point pattern as ksmd. The guard keeps a
-  // pass's own work (flushes, oops kills) from waking another pass.
-  bool scrub_enabled_ = false;
-  uint32_t scrub_wake_interval_ = 0;
-  uint32_t scrub_wake_ticks_ = 0;
-  bool in_scrubd_ = false;
-  // huged state: same wake-point pattern again. The guard keeps a pass's
-  // own allocations (contiguous blocks, unshare PTPs) from waking a
-  // nested pass.
-  bool huge_enabled_ = false;
-  uint32_t huge_wake_interval_ = 0;
-  uint32_t huge_wake_ticks_ = 0;
-  bool in_huged_ = false;
-  // numad state: same wake-point pattern. The guard keeps a pass's own
-  // allocations (replica frames) from waking a nested pass.
-  bool numad_enabled_ = false;
-  uint32_t numad_wake_interval_ = 0;
-  uint32_t numad_wake_ticks_ = 0;
-  bool in_numad_ = false;
+  // The periodic daemons on kswapd's wake points (DESIGN.md §5e), in
+  // firing order: ksmd, scrubd, huged, numad. `running` is each one's
+  // reentrancy guard — a pass's own work (allocations, flushes, oops
+  // kills) reaches the wake points again and must not start a nested pass
+  // of itself or of any daemon after it.
+  struct PeriodicDaemon {
+    bool enabled = false;
+    uint32_t interval = 1;  // fires on every interval-th counted wake-up
+    uint32_t ticks = 0;
+    bool running = false;
+    uint32_t (Kernel::*run)() = nullptr;
+  };
+  std::array<PeriodicDaemon, 4> daemons_{};
   // Per-node kswapd watermarks (multi-node machines only): a single node
   // can exhaust — pushing every allocation remote — while the global
   // count still looks healthy, so kswapd also watches each node.
   uint32_t kswapd_node_low_watermark_ = 0;
   uint32_t kswapd_node_high_watermark_ = 0;
+  // Declared last: only construction and cold paths read it, so it stays
+  // out of the cache lines the touch path uses.
+  const SystemConfig config_;
 
   // Mirrors PhysicalMemory's NUMA allocator statistics into counters_
   // (sat_mem cannot depend on sat_stats, so the kernel carries them over).

@@ -1,5 +1,6 @@
 #include "src/scenario/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -7,17 +8,20 @@
 #include <sstream>
 
 #include "src/scenario/registry.h"
+#include "src/scenario/runner.h"
 
 namespace sat {
 
 namespace {
 
 // The run-level knobs a `set` statement may touch, with the value shape
-// the runner expects. Everything else is a parse error — a typo'd knob
-// must not silently run a default fleet.
+// the runner expects and, for the knobs ValidateConfig's rules read, the
+// SystemConfig field the knob sets. Everything else is a parse error — a
+// typo'd knob must not silently run a default fleet.
 struct SettingSpec {
   std::string_view key;
   enum class Kind { kU64, kF64, kBool, kConfigName, kWord } kind;
+  std::string_view config_field = {};
 };
 
 constexpr SettingSpec kKnownSettings[] = {
@@ -25,10 +29,10 @@ constexpr SettingSpec kKnownSettings[] = {
     {"ticks", SettingSpec::Kind::kU64},      // scheduler rounds
     {"shards", SettingSpec::Kind::kU64},     // driver jobs the run splits into
     {"seed", SettingSpec::Kind::kU64},       // base seed (config default else)
-    {"phys_mb", SettingSpec::Kind::kU64},    // DRAM override
+    {"phys_mb", SettingSpec::Kind::kU64, "phys_bytes"},  // DRAM override
     {"swap_mb", SettingSpec::Kind::kU64},    // zram override
-    {"cores", SettingSpec::Kind::kU64},      // simulated cores
-    {"nodes", SettingSpec::Kind::kU64},      // NUMA nodes
+    {"cores", SettingSpec::Kind::kU64, "num_cores"},  // simulated cores
+    {"nodes", SettingSpec::Kind::kU64, "num_nodes"},  // NUMA nodes
     {"shootdown", SettingSpec::Kind::kWord},  // immediate | batched
     {"pt_placement", SettingSpec::Kind::kWord},  // local | replicate | migrate
     {"ksm", SettingSpec::Kind::kBool},
@@ -217,7 +221,9 @@ class Parser {
         return result_;
       }
     }
-    Validate();
+    if (ValidateMachine()) {
+      Validate();
+    }
     return result_;
   }
 
@@ -349,15 +355,15 @@ class Parser {
         }
         break;
       case SettingSpec::Kind::kWord:
-        if (setting.key == "pt_placement" && setting.value != "local" &&
-            setting.value != "replicate" && setting.value != "migrate") {
+        if (setting.key == "pt_placement" &&
+            !TryParsePtPlacement(setting.value).has_value()) {
           return FailAt(
               Errno::kEinval,
               "setting 'pt_placement' expects local, replicate, or migrate",
               setting.line, setting.column);
         }
-        if (setting.key == "shootdown" && setting.value != "immediate" &&
-            setting.value != "batched") {
+        if (setting.key == "shootdown" &&
+            !TryParseShootdownPolicy(setting.value).has_value()) {
           return FailAt(Errno::kEinval,
                         "setting 'shootdown' expects immediate or batched",
                         value_token.line, value_token.column);
@@ -524,6 +530,32 @@ class Parser {
         return candidate;
       }
     }
+  }
+
+  // Composes the run's SystemConfig and rejects a machine shape Machine or
+  // PhysicalMemory would refuse, at the `set` statement that put the bad
+  // value there: the last one in the file among the settings feeding the
+  // broken rule (or `set config` when none of them was set).
+  bool ValidateMachine() {
+    const std::optional<ConfigError> error =
+        ValidateConfig(ScenarioSystemConfig(result_.graph));
+    if (!error.has_value()) {
+      return true;
+    }
+    const ScenarioGraph& graph = result_.graph;
+    const ScenarioSetting* blamed = graph.FindSetting("config");
+    for (const SettingSpec& spec : kKnownSettings) {
+      const ScenarioSetting* setting = graph.FindSetting(spec.key);
+      // `settings` is in file order, so a later pointer is a later line.
+      if (setting != nullptr && (blamed == nullptr || setting > blamed) &&
+          std::find(error->fields.begin(), error->fields.end(),
+                    spec.config_field) != error->fields.end()) {
+        blamed = setting;
+      }
+    }
+    return FailAt(Errno::kEinval, error->message,
+                  blamed == nullptr ? 1 : blamed->line,
+                  blamed == nullptr ? 1 : blamed->column);
   }
 
   // Instantiate + Configure every element once against the registry, so

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
+
+#include "src/arch/check.h"
 
 namespace sat {
 
@@ -35,19 +38,18 @@ SystemConfig ScenarioSystemConfig(const ScenarioGraph& graph) {
       static_cast<uint32_t>(graph.SettingU64("cores", config.num_cores));
   config.num_nodes =
       static_cast<uint32_t>(graph.SettingU64("nodes", config.num_nodes));
-  if (graph.SettingStr("shootdown",
-                       ShootdownPolicyName(config.shootdown_policy)) ==
-      "batched") {
-    config.shootdown_policy = ShootdownPolicy::kBatched;
+  // ParseScenario rejects any other word for these two settings.
+  if (const ScenarioSetting* shootdown = graph.FindSetting("shootdown")) {
+    const std::optional<ShootdownPolicy> policy =
+        TryParseShootdownPolicy(shootdown->value);
+    SAT_CHECK(policy.has_value() && "unparsed shootdown setting");
+    config.shootdown_policy = *policy;
   }
-  const std::string placement = graph.SettingStr(
-      "pt_placement", PtPlacementName(config.pt_placement));
-  if (placement == "replicate") {
-    config.pt_placement = PtPlacement::kReplicate;
-  } else if (placement == "migrate") {
-    config.pt_placement = PtPlacement::kMigrate;
-  } else if (placement == "local") {
-    config.pt_placement = PtPlacement::kLocal;
+  if (const ScenarioSetting* placement = graph.FindSetting("pt_placement")) {
+    const std::optional<PtPlacement> parsed =
+        TryParsePtPlacement(placement->value);
+    SAT_CHECK(parsed.has_value() && "unparsed pt_placement setting");
+    config.pt_placement = *parsed;
   }
   config.ksm = graph.SettingBool("ksm", config.ksm);
   config.scrub = graph.SettingBool("scrub", config.scrub);

@@ -61,7 +61,7 @@ TEST(AuditTest, CycleLevelRunAuditsClean) {
 }
 
 TEST(AuditTest, DetectsRefcountCorruption) {
-  KernelParams params;
+  SystemConfig params;
   params.phys_bytes = 16ull * 1024 * 1024;
   Kernel kernel(params);
   Task* task = kernel.CreateTask("victim");
@@ -116,7 +116,7 @@ class AuditFuzzTest : public ::testing::TestWithParam<AuditFuzzCase> {};
 
 TEST_P(AuditFuzzTest, EveryIntermediateStateAuditsClean) {
   const AuditFuzzCase fuzz = GetParam();
-  KernelParams params;
+  SystemConfig params;
   // Small enough that genuine exhaustion happens on top of the injected
   // failures: both OOM paths (rollback and kill) run many times.
   params.phys_bytes = 24ull * 1024 * 1024;
@@ -130,7 +130,7 @@ TEST_P(AuditFuzzTest, EveryIntermediateStateAuditsClean) {
   if (fuzz.ksm) {
     // Periodic ksmd wakes fire from inside TouchPage/Fork/Mmap, on top of
     // the explicit scan op below — merges happen at awkward moments.
-    params.ksm_enabled = true;
+    params.ksm = true;
     params.ksm_wake_interval = 7;
   }
   if (fuzz.chaos) {

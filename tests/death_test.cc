@@ -158,7 +158,7 @@ class OopsRecoveryTest : public ::testing::Test {
     kernel.rmap().Remove(frame, ref->ptp->id(), ref->index);
   }
 
-  KernelParams params_;
+  SystemConfig params_;
 };
 
 TEST_F(OopsRecoveryTest, UnrepairableSiteOopsKillsExactlyTheSharers) {

@@ -14,8 +14,8 @@
 namespace sat {
 namespace {
 
-KernelParams SmallParams(uint64_t phys_mb = 32, uint64_t swap_mb = 0) {
-  KernelParams params;
+SystemConfig SmallParams(uint64_t phys_mb = 32, uint64_t swap_mb = 0) {
+  SystemConfig params;
   params.phys_bytes = phys_mb * 1024 * 1024;
   params.swap_bytes = swap_mb * 1024 * 1024;
   params.huge = true;
@@ -244,7 +244,7 @@ TEST(HugeTest, CowWriteSplitsOnlyTheWriterAfterFork) {
 // ---------------------------------------------------------------------------
 
 TEST(HugeTest, InPlacePromotionServesEverySharer) {
-  KernelParams params = SmallParams();
+  SystemConfig params = SmallParams();
   params.vm.share_ptps = true;
   Kernel kernel(params);
   Task* task = kernel.CreateTask("parent");
@@ -277,7 +277,7 @@ TEST(HugeTest, InPlacePromotionServesEverySharer) {
 }
 
 TEST(HugeTest, MigrationUnderSharedPtpPrivatizesFirst) {
-  KernelParams params = SmallParams();
+  SystemConfig params = SmallParams();
   params.vm.share_ptps = true;
   Kernel kernel(params);
   Task* task = kernel.CreateTask("parent");
@@ -309,8 +309,8 @@ TEST(HugeTest, MigrationUnderSharedPtpPrivatizesFirst) {
 // ---------------------------------------------------------------------------
 
 TEST(HugeTest, KsmStableFrameBlocksCollapseByDefault) {
-  KernelParams params = SmallParams();
-  params.ksm_enabled = true;
+  SystemConfig params = SmallParams();
+  params.ksm = true;
   Kernel kernel(params);
   Task* task = kernel.CreateTask("app");
   const VirtAddr base = MapAnon(kernel, *task, 16, 0x40000000,
@@ -331,8 +331,8 @@ TEST(HugeTest, KsmStableFrameBlocksCollapseByDefault) {
 }
 
 TEST(HugeTest, UnmergePolicyTradesDedupBackForReach) {
-  KernelParams params = SmallParams();
-  params.ksm_enabled = true;
+  SystemConfig params = SmallParams();
+  params.ksm = true;
   params.huge_unmerge_ksm = true;
   Kernel kernel(params);
   Task* task = kernel.CreateTask("app");
@@ -440,7 +440,7 @@ TEST(HugeTest, InjectedEnomemAbandonsTheCollapseCleanly) {
 // ---------------------------------------------------------------------------
 
 TEST(HugeTest, ScrubRepairsRottenLargeReplicaByMajorityVote) {
-  KernelParams params = SmallParams();
+  SystemConfig params = SmallParams();
   params.scrub = true;
   Kernel kernel(params);
   Task* task = kernel.CreateTask("app");
@@ -507,7 +507,7 @@ TEST(HugeTest, SmapsReportsHugePages) {
 }
 
 TEST(HugeTest, TraceRecordsCollapseAndSplitEvents) {
-  KernelParams params = SmallParams();
+  SystemConfig params = SmallParams();
   params.trace.enabled = true;
   params.trace.capacity = 1 << 10;
   Kernel kernel(params);
@@ -545,7 +545,7 @@ TEST(HugeTest, TraceRecordsCollapseAndSplitEvents) {
 // ---------------------------------------------------------------------------
 
 TEST(HugeTest, PeriodicWakeRunsTheDaemonFromTheTouchPath) {
-  KernelParams params = SmallParams();
+  SystemConfig params = SmallParams();
   params.huge_wake_interval = 64;
   Kernel kernel(params);
   Task* task = kernel.CreateTask("app");

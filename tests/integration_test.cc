@@ -15,7 +15,7 @@ TEST(SystemTest, ConfigNamesAreDescriptive) {
   EXPECT_EQ(ConfigByName("shared-ptp-tlb-2mb").Name(), "Shared PTP & TLB - 2MB");
   EXPECT_EQ(ConfigByName("copied-ptes").Name(), "Copied PTEs");
   SystemConfig no_asid = ConfigByName("stock");
-  no_asid.asids_enabled = false;
+  no_asid.core.asids_enabled = false;
   EXPECT_EQ(no_asid.Name(), "Stock Android (no ASID)");
 }
 

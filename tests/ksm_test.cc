@@ -14,8 +14,8 @@
 namespace sat {
 namespace {
 
-KernelParams SmallParams(uint64_t phys_mb = 32, uint64_t swap_mb = 0) {
-  KernelParams params;
+SystemConfig SmallParams(uint64_t phys_mb = 32, uint64_t swap_mb = 0) {
+  SystemConfig params;
   params.phys_bytes = phys_mb * 1024 * 1024;
   params.swap_bytes = swap_mb * 1024 * 1024;
   return params;
@@ -239,7 +239,7 @@ TEST(KsmTest, WriteFaultUnmergesByCopying) {
 // ---------------------------------------------------------------------------
 
 TEST(KsmTest, MergeUnderSharedPtpForcesLazyUnshare) {
-  KernelParams params = SmallParams();
+  SystemConfig params = SmallParams();
   params.vm.share_ptps = true;
   Kernel kernel(params);
   Task* parent = kernel.CreateTask("parent");
@@ -338,7 +338,7 @@ TEST(KsmTest, StableFrameSwapsOnceForAllSharers) {
 // ---------------------------------------------------------------------------
 
 TEST(KsmTest, EnomemDuringLazyUnshareAbandonsTheMergeCleanly) {
-  KernelParams params = SmallParams();
+  SystemConfig params = SmallParams();
   params.vm.share_ptps = true;
   Kernel kernel(params);
   Task* parent = kernel.CreateTask("parent");
@@ -379,8 +379,8 @@ TEST(KsmTest, EnomemDuringLazyUnshareAbandonsTheMergeCleanly) {
 // ---------------------------------------------------------------------------
 
 TEST(KsmTest, KsmdWakesFromTheKswapdHookPoints) {
-  KernelParams params = SmallParams();
-  params.ksm_enabled = true;
+  SystemConfig params = SmallParams();
+  params.ksm = true;
   params.ksm_wake_interval = 8;  // every 8th kswapd wake point
   Kernel kernel(params);
   Task* task = kernel.CreateTask("app");

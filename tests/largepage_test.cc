@@ -89,7 +89,7 @@ class LargePageVmTest : public ::testing::Test {
         cache_(&phys_),
         alloc_(&phys_, &counters_),
         vm_(&phys_, &cache_, &counters_, &CostModel::Default(),
-            VmConfig::SharedPtpAndTlb()) {}
+            VmConfig{.share_ptps = true, .share_tlb_global = true}) {}
 
   std::unique_ptr<MmStruct> NewMm() {
     return std::make_unique<MmStruct>(&alloc_, &phys_, &counters_, kDomainUser);

@@ -50,7 +50,7 @@ TEST(CatalogTest, RegisterAssignsSequentialIdsAndFiles) {
 class LoaderTest : public ::testing::Test {
  protected:
   LoaderTest() : catalog_(LibraryCatalog::AndroidDefault()) {
-    kernel_ = std::make_unique<Kernel>(KernelParams{});
+    kernel_ = std::make_unique<Kernel>(SystemConfig{});
     zygote_ = kernel_->CreateTask("zygote");
     kernel_->Exec(*zygote_, "app_process", /*is_zygote=*/true);
   }
@@ -134,7 +134,7 @@ TEST_F(LoaderTest, TwoMbPolicyUsesMoreAddressSpace) {
   original.PreloadAll(*zygote_);
   const uint64_t original_span = zygote_->mm->MappedBytes();
 
-  Kernel kernel2{KernelParams{}};
+  Kernel kernel2{SystemConfig{}};
   Task* zygote2 = kernel2.CreateTask("zygote");
   kernel2.Exec(*zygote2, "app_process", true);
   DynamicLoader aligned(&kernel2, &catalog_, MappingPolicy::kTwoMbAligned);

@@ -12,14 +12,14 @@
 namespace sat {
 namespace {
 
-KernelParams NumaParams(uint32_t cores, uint32_t nodes,
+SystemConfig NumaParams(uint32_t cores, uint32_t nodes,
                         PtPlacement placement, uint32_t threshold = 4) {
-  KernelParams params;
+  SystemConfig params;
   params.num_cores = cores;
   params.num_nodes = nodes;
   params.pt_placement = placement;
   params.numad_remote_threshold = threshold;
-  params.vm = VmConfig::SharedPtpAndTlb();
+  params.vm = {.share_ptps = true, .share_tlb_global = true};
   return params;
 }
 
@@ -240,9 +240,8 @@ TEST(NumaEngineTest, ScrubSweepVotesRottenWordsBackToHealth) {
 }
 
 TEST(NumaEngineTest, SharedZygotePtpGetsOneReplicaPerNodeNotPerProcess) {
-  ZygoteParams zparams;
-  zparams.kernel = NumaParams(4, 2, PtPlacement::kReplicate, /*threshold=*/2);
-  ZygoteSystem system(zparams);
+  ZygoteSystem system(
+      NumaParams(4, 2, PtPlacement::kReplicate, /*threshold=*/2));
   Kernel& kernel = system.kernel();
   Task* a = system.ForkApp("a");
   Task* b = system.ForkApp("b");
@@ -277,7 +276,7 @@ TEST(NumaEngineTest, SharedZygotePtpGetsOneReplicaPerNodeNotPerProcess) {
 }
 
 TEST(NumaEngineTest, NumadTicksOffTheKswapdWakePlumbing) {
-  KernelParams params = NumaParams(4, 2, PtPlacement::kReplicate,
+  SystemConfig params = NumaParams(4, 2, PtPlacement::kReplicate,
                                    /*threshold=*/2);
   params.numad_wake_interval = 4;  // every 4th kernel wake point
   Kernel kernel(params);
@@ -354,7 +353,7 @@ TEST(NumaPhysTest, ContiguousRunsPreferOneNodeAndCountStraddles) {
 TEST(NumaKernelTest, KswapdWakesOnNodePressureAndEatsReplicasFirst) {
   // Small machine with swap so kswapd can actually run; node 0 will be
   // squeezed while the global watermark still looks healthy.
-  KernelParams params = NumaParams(2, 2, PtPlacement::kReplicate,
+  SystemConfig params = NumaParams(2, 2, PtPlacement::kReplicate,
                                    /*threshold=*/2);
   params.phys_bytes = 16ull * 1024 * 1024;
   params.swap_bytes = 16ull * 1024 * 1024;

@@ -42,7 +42,7 @@ Task* MakeTouchedTask(Kernel& kernel, const std::string& name,
 // ---------------------------------------------------------------------------
 
 TEST(OomTest, ForkEnomemRollsBackCompletely) {
-  KernelParams params;
+  SystemConfig params;
   params.phys_bytes = 32ull * 1024 * 1024;
   Kernel kernel(params);
   Task* parent = MakeTouchedTask(kernel, "parent", 4, 16);
@@ -82,7 +82,7 @@ TEST(OomTest, ForkRollbackLeaksNothingAtAnyDepth) {
   // every N: each depth leaves a differently-shaped partial child, and
   // every one must be torn down to exactly the pre-fork state.
   for (uint64_t depth = 1; depth <= 10; ++depth) {
-    KernelParams params;
+    SystemConfig params;
     params.phys_bytes = 32ull * 1024 * 1024;
     Kernel kernel(params);
     Task* parent = MakeTouchedTask(kernel, "parent", 8, 4);
@@ -115,7 +115,7 @@ TEST(OomTest, ForkRollbackLeaksNothingAtAnyDepth) {
 // ---------------------------------------------------------------------------
 
 TEST(OomTest, TouchDistinguishesSegvFromOomKill) {
-  KernelParams params;
+  SystemConfig params;
   params.phys_bytes = 8ull * 1024 * 1024;
   Kernel kernel(params);
   Task* task = kernel.CreateTask("toucher");
@@ -161,7 +161,7 @@ TEST(OomTest, TouchDistinguishesSegvFromOomKill) {
 // ---------------------------------------------------------------------------
 
 TEST(OomTest, OomKillerPrefersLargestRssAndSparesZygote) {
-  KernelParams params;
+  SystemConfig params;
   params.phys_bytes = 64ull * 1024 * 1024;
   Kernel kernel(params);
 
@@ -200,7 +200,7 @@ TEST(OomTest, OomKillerPrefersLargestRssAndSparesZygote) {
 }
 
 TEST(OomTest, DirectReclaimRunsBeforeAnyKill) {
-  KernelParams params;
+  SystemConfig params;
   params.phys_bytes = 64ull * 1024 * 1024;
   Kernel kernel(params);
 

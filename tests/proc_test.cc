@@ -4,15 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/proc/kernel.h"
 #include "src/proc/scheduler.h"
 
 namespace sat {
 namespace {
 
-KernelParams SharedParams() {
-  KernelParams params;
-  params.vm = VmConfig::SharedPtpAndTlb();
+SystemConfig SharedParams() {
+  SystemConfig params;
+  params.vm = {.share_ptps = true, .share_tlb_global = true};
   return params;
 }
 
@@ -37,7 +39,7 @@ MmapRequest CodeRequest(VirtAddr at, uint32_t pages, FileId file) {
 }
 
 TEST(KernelTest, CreateTaskAssignsPidAndAsid) {
-  Kernel kernel{KernelParams{}};
+  Kernel kernel{SystemConfig{}};
   Task* a = kernel.CreateTask("a");
   Task* b = kernel.CreateTask("b");
   EXPECT_NE(a->pid, b->pid);
@@ -46,7 +48,7 @@ TEST(KernelTest, CreateTaskAssignsPidAndAsid) {
 }
 
 TEST(KernelTest, ExecSetsZygoteFlagAndDomain) {
-  Kernel kernel{KernelParams{}};
+  Kernel kernel{SystemConfig{}};
   Task* task = kernel.CreateTask("init");
   kernel.Exec(*task, "app_process", /*is_zygote=*/true);
   EXPECT_TRUE(task->zygote);
@@ -56,7 +58,7 @@ TEST(KernelTest, ExecSetsZygoteFlagAndDomain) {
 }
 
 TEST(KernelTest, ForkPropagatesZygoteChildFlag) {
-  Kernel kernel{KernelParams{}};
+  Kernel kernel{SystemConfig{}};
   Task* init = kernel.CreateTask("init");
   Task* zygote = kernel.Fork(*init, "zygote").child;
   kernel.Exec(*zygote, "app_process", true);
@@ -105,7 +107,7 @@ TEST(KernelTest, ZygoteMmapOfCodeIsMarkedGlobalAndPreloaded) {
 }
 
 TEST(KernelTest, TouchPageFaultsOnceThenNot) {
-  Kernel kernel{KernelParams{}};
+  Kernel kernel{SystemConfig{}};
   Task* task = kernel.CreateTask("t");
   kernel.Mmap(*task, CodeRequest(0x40000000, 2, 7));
   EXPECT_TRUE(kernel.TouchPage(*task, 0x40000000, AccessType::kExecute));
@@ -116,7 +118,7 @@ TEST(KernelTest, TouchPageFaultsOnceThenNot) {
 }
 
 TEST(KernelTest, TouchPageWriteUpgradesThroughCow) {
-  Kernel kernel{KernelParams{}};
+  Kernel kernel{SystemConfig{}};
   Task* task = kernel.CreateTask("t");
   kernel.Mmap(*task, AnonRequest(0x50000000, 2));
   EXPECT_TRUE(kernel.TouchPage(*task, 0x50000000, AccessType::kRead));
@@ -182,7 +184,7 @@ TEST(KernelTest, LastForkResultExposesTable4Stats) {
 // address space (two tasks sharing one ASID can hit each other's TLB
 // entries). The allocator must skip live ASIDs across the wrap.
 TEST(KernelTest, AsidRolloverSkipsLiveTasks) {
-  Kernel kernel{KernelParams{}};
+  Kernel kernel{SystemConfig{}};
   Task* keeper = kernel.CreateTask("keeper");
   const Asid kept = keeper->asid;
   // 300 short-lived tasks push the 8-bit ASID space around the horn
@@ -200,8 +202,154 @@ TEST(KernelTest, AsidRolloverSkipsLiveTasks) {
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
+// The periodic daemons (ksmd, scrubd, huged, numad) tick from one table
+// on kswapd's wake points, in that order. Machine for both tests below:
+// two nodes, every daemon enabled.
+SystemConfig AllDaemonsConfig(uint32_t ksm, uint32_t scrub, uint32_t huge,
+                              uint32_t numad) {
+  SystemConfig config = SharedParams();
+  config.phys_bytes = 32ull << 20;
+  config.num_cores = 4;
+  config.num_nodes = 2;
+  config.pt_placement = PtPlacement::kReplicate;
+  config.numad_remote_threshold = 2;
+  config.ksm = true;
+  config.ksm_wake_interval = ksm;
+  config.scrub = true;
+  config.scrub_wake_interval = scrub;
+  config.huge = true;
+  config.huge_wake_interval = huge;
+  config.numad_wake_interval = numad;
+  return config;
+}
+
+// ksmd, huged and numad all fire on wake-up 40, and each outcome shows
+// who went first: ksmd's merge makes block A ineligible for huged (a
+// huged-first order would collapse A and leave nothing to merge), and
+// huged's collapse of block B lands before numad replicates their PTP (a
+// numad-first order would mirror the collapse's 16 PTE writes into the
+// new replica). scrubd finds nothing to repair on a healthy machine, so
+// its slot is not observable here.
+TEST(KernelDaemonTest, PeriodicDaemonsFireInTableOrder) {
+  Kernel kernel(AllDaemonsConfig(/*ksm=*/20, /*scrub=*/40, /*huge=*/40,
+                                 /*numad=*/40));
+  Task* task = kernel.CreateTask("t");
+  kernel.ScheduleTo(*task, 0);
+  constexpr VirtAddr kBlockA = 0x40000000;  // mergeable; pages 0 and 1 equal
+  constexpr VirtAddr kBlockB = 0x40010000;  // distinct content
+  MmapRequest mergeable = AnonRequest(kBlockA, kPtesPerLargePage);
+  mergeable.mergeable = true;
+  ASSERT_TRUE(kernel.Mmap(*task, mergeable).ok());
+  ASSERT_TRUE(kernel.Mmap(*task, AnonRequest(kBlockB, kPtesPerLargePage)).ok());
+  uint32_t wakes = 2;  // the two mmaps
+  for (uint32_t i = 0; i < kPtesPerLargePage; ++i) {
+    kernel.WritePage(*task, kBlockA + i * kPageSize, i < 2 ? 7 : 100 + i);
+    kernel.WritePage(*task, kBlockB + i * kPageSize, 200 + i);
+    wakes += 2;
+  }
+  // Node-1 reads make the PTP hot remotely; ksmd's first pass (wake 20)
+  // has recorded block A's checksums by now.
+  kernel.ScheduleTo(*task, 2);
+  while (wakes < 39) {
+    ASSERT_TRUE(kernel.TouchPage(*task, kBlockA + 2 * kPageSize,
+                                 AccessType::kRead));
+    ++wakes;
+  }
+  const KernelCounters& counters = kernel.counters();
+  ASSERT_EQ(counters.ksm_scans, 1u);
+  ASSERT_EQ(counters.huge_scans + counters.numad_runs, 0u);
+
+  ASSERT_TRUE(kernel.TouchPage(*task, kBlockA + 2 * kPageSize,
+                               AccessType::kRead));  // wake-up 40
+  EXPECT_EQ(counters.ksm_scans, 2u);
+  EXPECT_EQ(counters.scrub_runs, 1u);
+  EXPECT_EQ(counters.huge_scans, 1u);
+  EXPECT_EQ(counters.numad_runs, 1u);
+  EXPECT_EQ(counters.ksm_pages_merged, 1u);
+  EXPECT_EQ(counters.huge_collapses, 1u);
+  EXPECT_EQ(counters.numa_replica_promotions, 1u);
+  EXPECT_EQ(counters.numa_replica_updates, 0u);
+  const AuditReport report = kernel.AuditInvariants();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+// All four daemons together at co-prime intervals under a fixed op mix.
+// The pass counts and the merge/collapse/split/promotion outcomes are
+// pinned, so a change to the firing order or the tick rule shows up here.
+TEST(KernelDaemonTest, PeriodicDaemonsKeepTheirCountsUnderAnOpMix) {
+  Kernel kernel(AllDaemonsConfig(/*ksm=*/3, /*scrub=*/5, /*huge=*/7,
+                                 /*numad=*/11));
+  Task* root = kernel.CreateTask("root");
+  MmapRequest mergeable = AnonRequest(0x40000000, 32);
+  mergeable.mergeable = true;
+  ASSERT_TRUE(kernel.Mmap(*root, mergeable).ok());
+  ASSERT_TRUE(kernel.Mmap(*root, AnonRequest(0x50000000, 64)).ok());
+
+  // A fixed LCG rather than <random>: the sequence must not depend on the
+  // standard library's distributions.
+  uint32_t state = 12345;
+  const auto next = [&state](uint32_t bound) {
+    state = state * 1103515245u + 12345u;
+    return (state >> 16) % bound;
+  };
+  std::vector<Task*> tasks{root};
+  for (uint32_t op = 0; op < 2000; ++op) {
+    Task& task = *tasks[next(static_cast<uint32_t>(tasks.size()))];
+    kernel.ScheduleTo(task, next(4));
+    switch (next(4)) {
+      case 0:  // few distinct values: ksmd merges
+        kernel.WritePage(task, 0x40000000 + next(32) * kPageSize, next(3));
+        break;
+      case 1:  // distinct values: huged collapses filled 64 KB runs
+        kernel.WritePage(task, 0x50000000 + next(64) * kPageSize, 1000 + op);
+        break;
+      case 2:
+        kernel.TouchPage(task, 0x50000000 + next(64) * kPageSize,
+                         AccessType::kRead);
+        break;
+      default:
+        if (op % 97 == 0 && tasks.size() < 4) {
+          tasks.push_back(kernel.Fork(task, "child").child);
+        } else {
+          kernel.TouchPage(task, 0x40000000 + next(32) * kPageSize,
+                           AccessType::kRead);
+        }
+        break;
+    }
+  }
+
+  const KernelCounters& counters = kernel.counters();
+  EXPECT_EQ(counters.ksm_scans, 667u);
+  EXPECT_EQ(counters.scrub_runs, 400u);
+  EXPECT_EQ(counters.huge_scans, 286u);
+  EXPECT_EQ(counters.numad_runs, 182u);
+  EXPECT_EQ(counters.ksm_pages_merged, 500u);
+  EXPECT_EQ(counters.huge_collapses, 4u);
+  EXPECT_EQ(counters.huge_splits, 6u);
+  EXPECT_EQ(counters.numa_replica_promotions, 8u);
+  const AuditReport report = kernel.AuditInvariants();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
+// One default per knob: a bare Kernel built from SystemConfig{} with scrub
+// on runs its first periodic scrub pass at wake-up 1024, the same cadence
+// a System gets.
+TEST(KernelDaemonTest, DefaultScrubIntervalIsTheSystemDefault) {
+  SystemConfig config;
+  config.scrub = true;
+  Kernel kernel(config);
+  Task* task = kernel.CreateTask("t");
+  ASSERT_TRUE(kernel.Mmap(*task, AnonRequest(0x40000000, 1)).ok());
+  uint32_t wakes = 1;  // the mmap's
+  while (kernel.counters().scrub_runs == 0 && wakes < 4096) {
+    ASSERT_TRUE(kernel.TouchPage(*task, 0x40000000, AccessType::kRead));
+    ++wakes;
+  }
+  EXPECT_EQ(wakes, 1024u);
+}
+
 TEST(SchedulerTest, RoundRobinCyclesThroughTasks) {
-  Kernel kernel{KernelParams{}};
+  Kernel kernel{SystemConfig{}};
   Task* a = kernel.CreateTask("a");
   Task* b = kernel.CreateTask("b");
   Scheduler scheduler(&kernel, /*group_zygote_like=*/false);
@@ -215,7 +363,7 @@ TEST(SchedulerTest, RoundRobinCyclesThroughTasks) {
 
 TEST(SchedulerTest, GroupingReducesCrossGroupSwitches) {
   auto run = [](bool grouped) {
-    Kernel kernel{KernelParams{}};
+    Kernel kernel{SystemConfig{}};
     Task* init = kernel.CreateTask("init");
     Task* zygote = kernel.Fork(*init, "zygote").child;
     kernel.Exec(*zygote, "app_process", true);
@@ -236,7 +384,7 @@ TEST(SchedulerTest, GroupingReducesCrossGroupSwitches) {
 }
 
 TEST(SchedulerTest, DeadTasksAreDropped) {
-  Kernel kernel{KernelParams{}};
+  Kernel kernel{SystemConfig{}};
   Task* a = kernel.CreateTask("a");
   Task* b = kernel.CreateTask("b");
   Scheduler scheduler(&kernel, false);

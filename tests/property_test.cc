@@ -37,7 +37,7 @@ class KernelFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(KernelFuzzTest, RandomOpsPreserveResourceBalance) {
   const FuzzCase fuzz = GetParam();
-  KernelParams params;
+  SystemConfig params;
   params.phys_bytes = 128ull * 1024 * 1024;
   params.vm.share_ptps = fuzz.share_ptps;
   params.vm.hw_l1_write_protect = fuzz.hw_l1_wp;
@@ -469,14 +469,14 @@ class ConfigMatrixTest : public ::testing::TestWithParam<MatrixCase> {};
 TEST_P(ConfigMatrixTest, BootRunExitStaysBalanced) {
   const MatrixCase m = GetParam();
   SystemConfig config;
-  config.share_ptps = m.share_ptps;
-  config.share_tlb = m.share_tlb;
+  config.vm.share_ptps = m.share_ptps;
+  config.vm.share_tlb_global = m.share_tlb;
   config.two_mb_alignment = m.two_mb;
   config.large_pages_for_code = m.large_pages;
-  config.asids_enabled = !m.no_asids;
+  config.core.asids_enabled = !m.no_asids;
   config.num_cores = m.cores;
-  config.fault_around_pages = m.fault_around;
-  config.isolation = m.isolation;
+  config.vm.fault_around_pages = m.fault_around;
+  config.core.isolation = m.isolation;
   config.phys_bytes = 1024ull * 1024 * 1024;
 
   System system(config);
@@ -563,7 +563,7 @@ class ForkChainTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ForkChainTest, SharerCountsMatchChainDepth) {
   const int depth = GetParam();
-  KernelParams params;
+  SystemConfig params;
   params.vm.share_ptps = true;
   Kernel kernel(params);
   Task* zygote = kernel.CreateTask("zygote");

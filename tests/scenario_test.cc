@@ -147,6 +147,24 @@ TEST(ScenarioParserTest, UnknownSettingAndBadSettingValuesAreRejected) {
   EXPECT_EQ(ParseScenario("set pt_placement sometimes;", "b", &reg).error,
             Errno::kEinval);
   EXPECT_EQ(ParseScenario("set ksm maybe;", "b", &reg).error, Errno::kEinval);
+  // Machine shapes Machine or PhysicalMemory would abort on are rejected
+  // at the `set` that made them, not when the System is built.
+  const ScenarioParseResult cores =
+      ParseScenario("set ticks 1;\nset cores 65;\n", "b", &reg);
+  EXPECT_EQ(cores.error, Errno::kEinval);
+  EXPECT_EQ(cores.line, 2);
+  EXPECT_EQ(cores.column, 5);
+  const ScenarioParseResult nodes =
+      ParseScenario("set cores 4;\nset nodes 3;\n", "b", &reg);
+  EXPECT_EQ(nodes.error, Errno::kEinval);
+  EXPECT_EQ(nodes.line, 2);
+  EXPECT_EQ(nodes.column, 5);
+  const ScenarioParseResult phys = ParseScenario("set phys_mb 0;", "b", &reg);
+  EXPECT_EQ(phys.error, Errno::kEinval);
+  EXPECT_EQ(phys.line, 1);
+  EXPECT_EQ(phys.column, 5);
+  // The composed config is what counts: nodes may precede cores.
+  EXPECT_TRUE(ParseScenario("set nodes 2;\nset cores 4;\n", "b", &reg).ok());
 }
 
 TEST(ScenarioParserTest, SyntaxErrorsCarryLineAndColumn) {
@@ -202,7 +220,7 @@ TEST(ScenarioRunnerTest, SettingsShapeTheSystemConfig) {
       "cfg", &ElementRegistry::Default());
   ASSERT_TRUE(result.ok()) << result.FormatError("cfg");
   const SystemConfig config = ScenarioSystemConfig(result.graph);
-  EXPECT_FALSE(config.share_ptps);
+  EXPECT_FALSE(config.vm.share_ptps);
   EXPECT_EQ(config.pt_placement, PtPlacement::kLocal);
   EXPECT_EQ(config.phys_bytes, 128ull * 1024 * 1024);
   EXPECT_EQ(config.swap_bytes, 64ull * 1024 * 1024);

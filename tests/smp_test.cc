@@ -12,10 +12,11 @@
 namespace sat {
 namespace {
 
-KernelParams SmpParams(uint32_t cores, bool share = true) {
-  KernelParams params;
+SystemConfig SmpParams(uint32_t cores, bool share = true) {
+  SystemConfig params;
   params.num_cores = cores;
-  params.vm = share ? VmConfig::SharedPtpAndTlb() : VmConfig::Stock();
+  params.vm.share_ptps = share;
+  params.vm.share_tlb_global = share;
   return params;
 }
 
@@ -95,7 +96,7 @@ TEST(SmpKernelTest, UnshareShootsDownEveryCoreTheTaskUsed) {
   // TLB entries are ASID-tagged and the shootdown's effect is observable
   // as fresh walks. (Global zygote-code entries deliberately survive an
   // ASID shootdown — their translations are unchanged by an unshare.)
-  KernelParams params = SmpParams(4);
+  SystemConfig params = SmpParams(4);
   Kernel kernel(params);
   Task* zygote = kernel.CreateTask("parent");
   MmapRequest code;
@@ -154,9 +155,7 @@ TEST(SmpKernelTest, ShootdownSkipsCoresTheTaskNeverUsed) {
 }
 
 TEST(SmpKernelTest, TwoAppsOnTwoCoresShareAndDivergeCorrectly) {
-  ZygoteParams params;
-  params.kernel = SmpParams(2);
-  ZygoteSystem system(params);
+  ZygoteSystem system(SmpParams(2));
   Kernel& kernel = system.kernel();
   Task* a = system.ForkApp("a");
   Task* b = system.ForkApp("b");
@@ -248,7 +247,7 @@ TEST(SmpKernelTest, SixtyFourCoreSmokeUsesHighMaskBits) {
 // IPI round trips to core 0 no matter where the daemon actually ran.
 // They must bill the core whose kernel entry drove the pass.
 TEST(SmpKernelTest, DaemonShootdownsChargeTheInitiatingCore) {
-  KernelParams params = SmpParams(4);
+  SystemConfig params = SmpParams(4);
   params.swap_bytes = 16ull * 1024 * 1024;
   Kernel kernel(params);
   Task* task = kernel.CreateTask("t");
@@ -276,7 +275,7 @@ TEST(SmpKernelTest, DaemonShootdownsChargeTheInitiatingCore) {
 // drain, which applies every queued flush with one IPI per distinct
 // remote target.
 TEST(MachineTest, BatchedPolicyDefersRemoteFlushesUntilDrain) {
-  KernelParams params = SmpParams(4);
+  SystemConfig params = SmpParams(4);
   params.shootdown_policy = ShootdownPolicy::kBatched;
   Kernel kernel(params);
   Machine& machine = kernel.machine();
@@ -316,7 +315,7 @@ TEST(MachineTest, BatchedPolicyDefersRemoteFlushesUntilDrain) {
 
 // Queue overflow collapses to a full flush instead of dropping entries.
 TEST(MachineTest, BatchedQueueOverflowCollapsesToFullFlush) {
-  KernelParams params = SmpParams(2);
+  SystemConfig params = SmpParams(2);
   params.shootdown_policy = ShootdownPolicy::kBatched;
   Kernel kernel(params);
   Machine& machine = kernel.machine();
@@ -379,7 +378,7 @@ struct PolicyRun {
 // One deterministic unshare-heavy workload, parameterized only by the
 // shootdown policy.
 PolicyRun RunShootdownWorkload(ShootdownPolicy policy) {
-  KernelParams params = SmpParams(4);
+  SystemConfig params = SmpParams(4);
   params.shootdown_policy = policy;
   Kernel kernel(params);
   Task* parent = kernel.CreateTask("parent");
@@ -455,7 +454,7 @@ TEST(SmpKernelTest, BatchedAndImmediatePoliciesConverge) {
 // First-touch placement: the frame lands on the faulting core's node,
 // and only off-node L2 misses pay the remote-DRAM surcharge.
 TEST(SmpKernelTest, FirstTouchPlacementAndRemoteAccessCharging) {
-  KernelParams params = SmpParams(4);
+  SystemConfig params = SmpParams(4);
   params.num_nodes = 2;  // cores {0,1} node 0, cores {2,3} node 1
   Kernel kernel(params);
   Task* task = kernel.CreateTask("t");
@@ -475,7 +474,7 @@ TEST(SmpKernelTest, FirstTouchPlacementAndRemoteAccessCharging) {
 }
 
 TEST(MachineTest, CrossNodeIpiPaysRemoteSurcharge) {
-  KernelParams params = SmpParams(4);
+  SystemConfig params = SmpParams(4);
   params.num_nodes = 2;
   Kernel kernel(params);
   Machine& machine = kernel.machine();

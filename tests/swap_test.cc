@@ -15,8 +15,8 @@
 namespace sat {
 namespace {
 
-KernelParams SwapParams(uint64_t phys_mb, uint64_t swap_mb) {
-  KernelParams params;
+SystemConfig SwapParams(uint64_t phys_mb, uint64_t swap_mb) {
+  SystemConfig params;
   params.phys_bytes = phys_mb * 1024 * 1024;
   params.swap_bytes = swap_mb * 1024 * 1024;
   return params;
@@ -131,7 +131,7 @@ TEST(SwapTest, RoundTripSwapOutAndBackIn) {
 // ---------------------------------------------------------------------------
 
 TEST(SwapTest, SharedPtpSwapsOnceAndServesAllSharers) {
-  KernelParams params = SwapParams(32, 16);
+  SystemConfig params = SwapParams(32, 16);
   params.vm.share_ptps = true;
   Kernel kernel(params);
   Task* parent = kernel.CreateTask("parent");
@@ -176,7 +176,7 @@ TEST(SwapTest, SharedPtpSwapsOnceAndServesAllSharers) {
 }
 
 TEST(SwapTest, WriteFaultUnsharesPtpAndCowsSwappedPage) {
-  KernelParams params = SwapParams(32, 16);
+  SystemConfig params = SwapParams(32, 16);
   params.vm.share_ptps = true;
   Kernel kernel(params);
   Task* parent = kernel.CreateTask("parent");

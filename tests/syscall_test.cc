@@ -41,8 +41,8 @@ struct SharedFixture {
 
   SharedFixture()
       : kernel([] {
-          KernelParams params;
-          params.vm = VmConfig::SharedPtpAndTlb();
+          SystemConfig params;
+          params.vm = {.share_ptps = true, .share_tlb_global = true};
           return params;
         }()) {
     zygote = kernel.CreateTask("zygote");
@@ -64,7 +64,7 @@ struct SharedFixture {
 // ---------------------------------------------------------------------------
 
 TEST(SyscallTest, MmapRejectsMalformedRequests) {
-  Kernel kernel{KernelParams{}};
+  Kernel kernel{SystemConfig{}};
   Task* task = kernel.CreateTask("t");
 
   MmapRequest zero = AnonRequest(0x40000000, 1);
@@ -85,7 +85,7 @@ TEST(SyscallTest, MmapRejectsMalformedRequests) {
 }
 
 TEST(SyscallTest, MunmapAndMprotectRejectMalformedRanges) {
-  Kernel kernel{KernelParams{}};
+  Kernel kernel{SystemConfig{}};
   Task* task = kernel.CreateTask("t");
   EXPECT_TRUE(kernel.Mmap(*task, AnonRequest(0x40000000, 4)).ok());
 
@@ -106,7 +106,7 @@ TEST(SyscallTest, MunmapAndMprotectRejectMalformedRanges) {
 // ---------------------------------------------------------------------------
 
 TEST(SyscallTest, MunmapAndMprotectReportEfaultOnUnmappedRanges) {
-  Kernel kernel{KernelParams{}};
+  Kernel kernel{SystemConfig{}};
   Task* task = kernel.CreateTask("t");
   EXPECT_TRUE(kernel.Mmap(*task, AnonRequest(0x40000000, 4)).ok());
 
@@ -126,7 +126,7 @@ TEST(SyscallTest, MunmapAndMprotectReportEfaultOnUnmappedRanges) {
 // ---------------------------------------------------------------------------
 
 TEST(SyscallTest, MmapReportsEnomemWhenNoFreeRangeExists) {
-  Kernel kernel{KernelParams{}};
+  Kernel kernel{SystemConfig{}};
   Task* task = kernel.CreateTask("t");
   MmapRequest huge;
   huge.length = 0xC0000000u;  // 3 GB: larger than the whole mmap window
@@ -201,7 +201,7 @@ TEST(SyscallTest, ForkOutcomeCarriesChildStatsAndError) {
 
   // A stock-kernel parent with touched private memory: its fork must
   // copy, and with every allocation failing that copy cannot proceed.
-  Kernel stock{KernelParams{}};
+  Kernel stock{SystemConfig{}};
   Task* parent = stock.CreateTask("parent");
   EXPECT_TRUE(stock.Mmap(*parent, AnonRequest(0x40000000, 16)).ok());
   for (uint32_t page = 0; page < 16; ++page) {
