@@ -11,10 +11,13 @@
 #define BENCH_COMMON_H_
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -224,13 +227,48 @@ struct BenchOptions {
 // --smoke shrink factor applied to scenario populations, rates, and ticks.
 inline constexpr double kScenarioSmokeScale = 0.05;
 
+// Reads all of `text` as a base-10 integer from 0 to `max` for `flag`;
+// an empty value, a sign, trailing junk or overflow is a usage error
+// (exit 2), like every other malformed harness flag.
+template <typename T>
+T ParseUnsignedFlag(const char* flag, const std::string& text,
+                    T max = std::numeric_limits<T>::max()) {
+  T parsed{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, parsed);
+  if (text.empty() || ec != std::errc() || stop != end || parsed > max) {
+    std::cerr << "error: " << flag << " expects an integer from 0 to " << max
+              << ", got '" << text << "'\n";
+    std::exit(2);
+  }
+  return parsed;
+}
+
+// Reads all of `text` as a finite, non-negative number of seconds.
+inline double ParseSecondsFlag(const char* flag, const std::string& text) {
+  double parsed = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, parsed);
+  if (text.empty() || ec != std::errc() || stop != end ||
+      !std::isfinite(parsed) || parsed < 0) {
+    std::cerr << "error: " << flag
+              << " expects a non-negative number of seconds, got '" << text
+              << "'\n";
+    std::exit(2);
+  }
+  return parsed;
+}
+
 // Parses and REMOVES the harness flags from argv (so flags meant for other
 // consumers — e.g. google-benchmark in bench_pagefault — pass through
 // untouched). The single argument parser every bench binary shares: one
-// flag vocabulary, one validation pass, one error style. Exits with a
-// usage message on a malformed or unknown --config, and with the parser's
-// file:line:column diagnostic on a bad --scenario file.
+// flag vocabulary, one validation pass, one error style. Exits 2 with a
+// usage message on a malformed number, an unknown --config or a
+// --phys-mb/--swap-mb override that makes the config invalid, and with the
+// parser's file:line:column diagnostic on a bad --scenario file.
 inline BenchOptions ParseHarnessArgs(int* argc, char** argv) {
+  // Megabyte counts whose byte size still fits the config's 64-bit fields.
+  constexpr uint64_t kMaxMb = std::numeric_limits<uint64_t>::max() >> 20;
   BenchOptions options;
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
@@ -250,7 +288,7 @@ inline BenchOptions ParseHarnessArgs(int* argc, char** argv) {
     };
     std::string v;
     if (value("--jobs", &v)) {
-      options.jobs = static_cast<uint32_t>(std::stoul(v));
+      options.jobs = ParseUnsignedFlag<uint32_t>("--jobs", v);
     } else if (value("--json-out", &v)) {
       options.json_out = v;
     } else if (value("--config", &v)) {
@@ -258,18 +296,18 @@ inline BenchOptions ParseHarnessArgs(int* argc, char** argv) {
     } else if (arg == "--smoke") {
       options.smoke = true;
     } else if (value("--seed", &v)) {
-      options.seed = std::stoull(v);
+      options.seed = ParseUnsignedFlag<uint64_t>("--seed", v);
       options.seed_set = true;
     } else if (value("--phys-mb", &v)) {
-      options.phys_mb = std::stoull(v);
+      options.phys_mb = ParseUnsignedFlag<uint64_t>("--phys-mb", v, kMaxMb);
     } else if (value("--swap-mb", &v)) {
-      options.swap_mb = std::stoull(v);
+      options.swap_mb = ParseUnsignedFlag<uint64_t>("--swap-mb", v, kMaxMb);
     } else if (value("--trace-out", &v)) {
       options.trace_out = v;
     } else if (value("--job-timeout", &v)) {
-      options.job_timeout_s = std::stod(v);
+      options.job_timeout_s = ParseSecondsFlag("--job-timeout", v);
     } else if (value("--retries", &v)) {
-      options.retries = static_cast<uint32_t>(std::stoul(v));
+      options.retries = ParseUnsignedFlag<uint32_t>("--retries", v);
     } else if (value("--scenario", &v)) {
       options.scenario = v;
     } else {
@@ -285,6 +323,19 @@ inline BenchOptions ParseHarnessArgs(int* argc, char** argv) {
       !TryConfigByName(options.only_config).has_value()) {
     std::cerr << "error: unknown --config '" << options.only_config
               << "'; known configs: " << NamedConfigKeyList() << "\n";
+    std::exit(2);
+  }
+  // The overrides land on every job's config; check them against the
+  // machine-shape rules here, as the .scn parser and satr_cli do, rather
+  // than let a System constructor abort on a worker.
+  const SystemConfig composed = WithSwapMb(
+      WithPhysMb(options.only_config.empty()
+                     ? SystemConfig{}
+                     : *TryConfigByName(options.only_config),
+                 options.phys_mb),
+      options.swap_mb);
+  if (const std::optional<ConfigError> error = ValidateConfig(composed)) {
+    std::cerr << "error: --phys-mb/--swap-mb: " << error->message << "\n";
     std::exit(2);
   }
   if (!options.scenario.empty()) {

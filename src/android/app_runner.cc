@@ -253,8 +253,12 @@ AppRunStats AppRunner::Run(const AppFootprint& fp, bool exit_after) {
   stats.ptps_allocated = delta.ptps_allocated;
   stats.ptps_unshared = delta.ptps_unshared;
   stats.ptes_copied = delta.ptes_copied;
-  stats.present_slots = app->mm->page_table().PresentSlotCount();
-  stats.shared_slots = app->mm->page_table().SharedSlotCount();
+  // An OOM or oops kill above has already exited the app and freed its
+  // (torn-down, hence empty) address space.
+  if (app->mm != nullptr) {
+    stats.present_slots = app->mm->page_table().PresentSlotCount();
+    stats.shared_slots = app->mm->page_table().SharedSlotCount();
+  }
 
   if (exit_after && app->alive) {
     kernel.Exit(*app);

@@ -122,22 +122,37 @@ LaunchResult LaunchSimulator::LaunchOnce(uint32_t round) {
   uint32_t next_write = 0;
   uint32_t next_anon = 0;
   uint32_t next_ipc = 1;
+  // The entry index at which each interleaved event is next due, recomputed
+  // only when its counter advances.
+  const auto write_due = [&] {
+    return next_write * write_window /
+           std::max<size_t>(data_writes_.size(), 1);
+  };
+  const auto anon_due = [&] {
+    return next_anon * entries / std::max(params_.anon_pages, 1u);
+  };
+  const auto ipc_due = [&] {
+    return next_ipc * entries / (params_.ipc_roundtrips + 1);
+  };
+  size_t write_at = write_due();
+  uint32_t anon_at = anon_due();
+  uint32_t ipc_at = ipc_due();
 
   for (uint32_t i = 0; i < entries; ++i) {
     // Interleaved events.
-    if (next_write < data_writes_.size() &&
-        i >= next_write * write_window / std::max<size_t>(data_writes_.size(), 1)) {
+    if (next_write < data_writes_.size() && i >= write_at) {
       const DataWrite& write = data_writes_[next_write++];
+      write_at = write_due();
       core.Store(system_->DataPageVa(write.lib, write.page_index));
     }
-    if (next_anon < params_.anon_pages &&
-        i >= next_anon * entries / std::max(params_.anon_pages, 1u)) {
+    if (next_anon < params_.anon_pages && i >= anon_at) {
       core.Store(heap_base + next_anon * kPageSize);
       next_anon++;
+      anon_at = anon_due();
     }
-    if (next_ipc <= params_.ipc_roundtrips &&
-        i >= next_ipc * entries / (params_.ipc_roundtrips + 1)) {
+    if (next_ipc <= params_.ipc_roundtrips && i >= ipc_at) {
       next_ipc++;
+      ipc_at = ipc_due();
       // Round trip to the system_server.
       core.RunKernelPath(KernelPath::kBinder, kernel.costs().binder_hop,
                          kernel.costs().binder_kernel_lines);

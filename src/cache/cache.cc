@@ -1,7 +1,9 @@
 #include "src/cache/cache.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
+#include <numeric>
 
 namespace sat {
 
@@ -9,51 +11,61 @@ Cache::Cache(std::string name, uint32_t size_bytes, uint32_t line_size,
              uint32_t ways)
     : name_(std::move(name)), line_size_(line_size), ways_(ways) {
   assert(line_size > 0 && (line_size & (line_size - 1)) == 0);
-  assert(size_bytes % (line_size * ways) == 0);
+  assert(ways > 0 && size_bytes % (line_size * ways) == 0);
+  line_shift_ = static_cast<uint32_t>(std::countr_zero(line_size));
   num_sets_ = size_bytes / (line_size * ways);
   assert((num_sets_ & (num_sets_ - 1)) == 0 && "set count must be a power of two");
   set_shift_ = static_cast<uint32_t>(std::countr_zero(num_sets_));
-  lines_.resize(static_cast<size_t>(num_sets_) * ways_);
+  stride_ = 2 * ways_ + 1;
+  blocks_.assign(static_cast<size_t>(num_sets_) * stride_, 0);
+  InvalidateAll();
+}
+
+uint32_t Cache::TagOf(uint64_t line_addr) const {
+  const uint64_t tag = line_addr >> set_shift_;
+  assert(tag < kInvalidTag && "physical address beyond the 32-bit tag range");
+  return static_cast<uint32_t>(tag);
 }
 
 bool Cache::Access(PhysAddr pa) {
   stats_.accesses++;
-  clock_++;
   const uint64_t line_addr = LineAddr(pa);
-  const uint32_t set = SetOf(line_addr);
-  const uint64_t tag = TagOf(line_addr);
-  for (uint32_t w = 0; w < ways_; ++w) {
-    Line& line = lines_[static_cast<size_t>(set) * ways_ + w];
-    if (line.valid && line.tag == tag) {
-      line.lru_stamp = clock_;
-      return true;
-    }
+  const uint32_t tag = TagOf(line_addr);
+  uint32_t* tags = SetBlock(SetOf(line_addr));
+  uint32_t* stamps = tags + ways_;
+  uint32_t& clock = stamps[ways_];
+  if (clock == kClockLimit) {
+    Renormalise(tags);
   }
-  stats_.misses++;
-  Line* victim = nullptr;
+  const uint32_t now = ++clock;
+  // One branch-free pass finds the hit way (a tag is resident in at most
+  // one way) and the victim: the first way with the smallest stamp, which
+  // is the first invalid way (stamp 0) if any, else the LRU way.
+  uint32_t hit = ways_;
+  uint32_t victim = 0;
+  uint32_t oldest = stamps[0];
   for (uint32_t w = 0; w < ways_; ++w) {
-    Line& line = lines_[static_cast<size_t>(set) * ways_ + w];
-    if (!line.valid) {
-      victim = &line;
-      break;
-    }
-    if (victim == nullptr || line.lru_stamp < victim->lru_stamp) {
-      victim = &line;
-    }
+    hit = tags[w] == tag ? w : hit;
+    const bool older = stamps[w] < oldest;
+    victim = older ? w : victim;
+    oldest = older ? stamps[w] : oldest;
   }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru_stamp = clock_;
-  return false;
+  // A hit restamps its way; a miss fills the victim. Rewriting a hit way's
+  // own tag is a no-op, so both are one store pair.
+  const bool is_hit = hit != ways_;
+  const uint32_t way = is_hit ? hit : victim;
+  tags[way] = tag;
+  stamps[way] = now;
+  stats_.misses += is_hit ? 0 : 1;
+  return is_hit;
 }
 
 bool Cache::Probe(PhysAddr pa) const {
   const uint64_t line_addr = LineAddr(pa);
-  const uint32_t set = SetOf(line_addr);
-  const uint64_t tag = TagOf(line_addr);
+  const uint32_t tag = TagOf(line_addr);
+  const uint32_t* tags = SetBlock(SetOf(line_addr));
   for (uint32_t w = 0; w < ways_; ++w) {
-    const Line& line = lines_[static_cast<size_t>(set) * ways_ + w];
-    if (line.valid && line.tag == tag) {
+    if (tags[w] == tag) {
       return true;
     }
   }
@@ -61,8 +73,41 @@ bool Cache::Probe(PhysAddr pa) const {
 }
 
 void Cache::InvalidateAll() {
-  for (Line& line : lines_) {
-    line.valid = false;
+  for (uint32_t set = 0; set < num_sets_; ++set) {
+    uint32_t* tags = SetBlock(set);
+    std::fill(tags, tags + ways_, kInvalidTag);
+    std::fill(tags + ways_, tags + 2 * ways_, 0u);
+  }
+}
+
+void Cache::Renormalise(uint32_t* block) {
+  uint32_t* stamps = block + ways_;
+  std::vector<uint32_t> order(ways_);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t a, uint32_t b) { return stamps[a] < stamps[b]; });
+  uint32_t rank = 0;
+  for (uint32_t w : order) {
+    if (stamps[w] != 0) {
+      stamps[w] = ++rank;
+    }
+  }
+  stamps[ways_] = rank;
+}
+
+void Cache::MoveLruClocksNearWrapForTest(uint32_t headroom) {
+  for (uint32_t set = 0; set < num_sets_; ++set) {
+    uint32_t* stamps = SetBlock(set) + ways_;
+    if (uint64_t{stamps[ways_]} + headroom >= kClockLimit) {
+      continue;  // already that close
+    }
+    const uint32_t delta = kClockLimit - headroom - stamps[ways_];
+    for (uint32_t w = 0; w < ways_; ++w) {
+      if (stamps[w] != 0) {
+        stamps[w] += delta;
+      }
+    }
+    stamps[ways_] += delta;
   }
 }
 
@@ -74,18 +119,20 @@ CacheHierarchy::CacheHierarchy(const CostModel* costs, Cache* l2)
   assert(l2 != nullptr);
 }
 
+Cycles CacheHierarchy::L2Stall(PhysAddr pa, CoreCounters* counters) {
+  const bool hit = l2_->Access(pa);
+  if (!hit) {
+    counters->l2_misses++;
+  }
+  return hit ? costs_->l2_hit : costs_->l2_hit + costs_->dram;
+}
+
 Cycles CacheHierarchy::AccessInst(PhysAddr pa, CoreCounters* counters) {
   if (l1i_.Access(pa)) {
     return costs_->l1_hit;
   }
   counters->l1i_misses++;
-  Cycles stall;
-  if (l2_->Access(pa)) {
-    stall = costs_->l2_hit;
-  } else {
-    counters->l2_misses++;
-    stall = costs_->l2_hit + costs_->dram;
-  }
+  const Cycles stall = L2Stall(pa, counters);
   counters->icache_stall_cycles += stall;
   return costs_->l1_hit + stall;
 }
@@ -95,13 +142,7 @@ Cycles CacheHierarchy::AccessData(PhysAddr pa, CoreCounters* counters) {
     return costs_->l1_hit;
   }
   counters->l1d_misses++;
-  Cycles stall;
-  if (l2_->Access(pa)) {
-    stall = costs_->l2_hit;
-  } else {
-    counters->l2_misses++;
-    stall = costs_->l2_hit + costs_->dram;
-  }
+  const Cycles stall = L2Stall(pa, counters);
   counters->dcache_stall_cycles += stall;
   return costs_->l1_hit + stall;
 }
@@ -114,11 +155,7 @@ Cycles CacheHierarchy::AccessPtw(PhysAddr pa, CoreCounters* counters) {
     return costs_->l1_hit;
   }
   counters->l1d_misses++;
-  if (l2_->Access(pa)) {
-    return costs_->l1_hit + costs_->l2_hit;
-  }
-  counters->l2_misses++;
-  return costs_->l1_hit + costs_->l2_hit + costs_->dram;
+  return costs_->l1_hit + L2Stall(pa, counters);
 }
 
 void CacheHierarchy::InvalidateAll() {

@@ -36,12 +36,20 @@ struct CacheStats {
 };
 
 // One set-associative cache with LRU replacement.
+//
+// Each set is one contiguous block of 32-bit words: `ways` tags (an
+// invalid line holds kInvalidTag), `ways` LRU stamps (0 for an invalid
+// line), then the set's own access clock. Every access to a set stamps
+// the touched line with the set's next clock value, so within a set the
+// stamps order the lines exactly as one global access counter would; a
+// clock about to wrap is renormalised to ranks 1..n first, which keeps
+// that order.
 class Cache {
  public:
   Cache(std::string name, uint32_t size_bytes, uint32_t line_size, uint32_t ways);
 
   // Touches the line containing `pa`; returns true on hit. A miss fills
-  // the line (victim selection is LRU).
+  // the line: the first invalid way, else the least recently used way.
   bool Access(PhysAddr pa);
 
   // Is the line currently resident (no state change)?
@@ -55,26 +63,40 @@ class Cache {
   const std::string& name() const { return name_; }
   uint32_t line_size() const { return line_size_; }
 
- private:
-  struct Line {
-    bool valid = false;
-    uint64_t tag = 0;
-    uint64_t lru_stamp = 0;
-  };
+  // Moves every set's clock (and its valid lines' stamps, order preserved)
+  // to `headroom` accesses short of the wrap, so tests can drive the
+  // renormalisation that runs before a clock wraps.
+  void MoveLruClocksNearWrapForTest(uint32_t headroom);
 
-  uint64_t LineAddr(PhysAddr pa) const { return pa / line_size_; }
+ private:
+  static constexpr uint32_t kInvalidTag = UINT32_MAX;
+  // The largest stamp a line can carry; a set whose clock reaches it is
+  // renormalised on its next access.
+  static constexpr uint32_t kClockLimit = UINT32_MAX - 1;
+
+  uint64_t LineAddr(PhysAddr pa) const { return pa >> line_shift_; }
   uint32_t SetOf(uint64_t line_addr) const {
     return static_cast<uint32_t>(line_addr & (num_sets_ - 1));
   }
-  uint64_t TagOf(uint64_t line_addr) const { return line_addr >> set_shift_; }
+  uint32_t TagOf(uint64_t line_addr) const;
+  const uint32_t* SetBlock(uint32_t set) const {
+    return &blocks_[static_cast<size_t>(set) * stride_];
+  }
+  uint32_t* SetBlock(uint32_t set) {
+    return &blocks_[static_cast<size_t>(set) * stride_];
+  }
+  // Rewrites one set's nonzero (valid) stamps as ranks 1..n in LRU order
+  // and its clock as n.
+  void Renormalise(uint32_t* block);
 
   std::string name_;
   uint32_t line_size_;
+  uint32_t line_shift_;
   uint32_t ways_;
   uint32_t num_sets_;
   uint32_t set_shift_;
-  uint64_t clock_ = 0;
-  std::vector<Line> lines_;  // num_sets_ x ways_
+  uint32_t stride_;              // 2 * ways_ + 1 words per set
+  std::vector<uint32_t> blocks_;  // num_sets_ blocks
   CacheStats stats_;
 };
 
@@ -106,6 +128,10 @@ class CacheHierarchy {
   static Cache MakeL2() { return Cache("L2", 1024 * 1024, 32, 16); }
 
  private:
+  // An L1 miss's L2 access: the stall beyond the L1 hit time, with the L2
+  // miss counted.
+  Cycles L2Stall(PhysAddr pa, CoreCounters* counters);
+
   const CostModel* costs_;
   Cache l1i_;
   Cache l1d_;

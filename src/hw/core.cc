@@ -131,17 +131,15 @@ FaultStatus Core::Walk(VirtAddr va, AccessType access, TlbEntry* entry) {
   // at all, and one TLB entry covers 256 pages — the reach win the eager
   // zygote-code mapping buys. Sections take precedence over any PTEs.
   if (const SectionDesc* section = pt->SectionAt(va)) {
-    TlbEntry walked;
-    walked.valid = true;
-    walked.size_pages = kPtesPerSection;
-    walked.vpn = VirtPageNumber(SectionAlignDown(va));
-    walked.asid = context_.asid;
-    walked.global = section->global;
-    walked.domain = l1.domain;
-    walked.perm = PtePerm::kReadOnly;
-    walked.executable = section->executable;
-    walked.frame = section->base;
-    *entry = walked;
+    entry->valid = true;
+    entry->size_pages = kPtesPerSection;
+    entry->vpn = VirtPageNumber(SectionAlignDown(va));
+    entry->asid = context_.asid;
+    entry->global = section->global;
+    entry->domain = l1.domain;
+    entry->perm = PtePerm::kReadOnly;
+    entry->executable = section->executable;
+    entry->frame = section->base;
     return FaultStatus::kNone;
   }
 
@@ -183,17 +181,15 @@ FaultStatus Core::Walk(VirtAddr va, AccessType access, TlbEntry* entry) {
     pt->UpdatePte(va, hw, sw, /*allow_shared=*/true);
   }
 
-  TlbEntry walked;
-  walked.valid = true;
-  walked.size_pages = hw.large() ? kPtesPerLargePage : 1;
-  walked.vpn = VirtPageNumber(va) & ~(walked.size_pages - 1);
-  walked.asid = context_.asid;
-  walked.global = hw.global();
-  walked.domain = l1.domain;
-  walked.perm = hw.perm();
-  walked.executable = hw.executable();
-  walked.frame = hw.frame();
-  *entry = walked;
+  entry->valid = true;
+  entry->size_pages = hw.large() ? kPtesPerLargePage : 1;
+  entry->vpn = VirtPageNumber(va) & ~(entry->size_pages - 1);
+  entry->asid = context_.asid;
+  entry->global = hw.global();
+  entry->domain = l1.domain;
+  entry->perm = hw.perm();
+  entry->executable = hw.executable();
+  entry->frame = hw.frame();
   return FaultStatus::kNone;
 }
 

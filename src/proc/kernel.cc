@@ -443,6 +443,10 @@ void Kernel::Exit(Task& task) {
   // flush is still queued would alias the new task with this one.
   SyncShootdowns();
   ReleaseAsid(task.asid);
+  // The torn-down address space is empty; free it rather than keep its L1
+  // table for the life of the task record. Every walk over tasks_ skips a
+  // null mm.
+  task.mm.reset();
   task.alive = false;
   task.cpu_mask = 0;
   for (Task*& current : current_) {
@@ -998,8 +1002,10 @@ void Kernel::MaybeInjectChaos() {
     MainTlb& tlb = machine_->core(core_id).main_tlb();
     const uint32_t set = static_cast<uint32_t>(inj.Rand64() % tlb.num_sets());
     const uint32_t way = static_cast<uint32_t>(inj.Rand64() % tlb.ways());
-    TlbEntry& entry = tlb.EntryAtForChaos(set, way);
-    if (entry.valid) {
+    tlb.MutateEntryForChaos(set, way, [&inj](TlbEntry& entry) {
+      if (!entry.valid) {
+        return;
+      }
       switch (inj.Rand64() % 4) {
         case 0:
           entry.vpn ^= 1u << (inj.Rand64() % 20);
@@ -1015,7 +1021,7 @@ void Kernel::MaybeInjectChaos() {
           entry.frame ^= 1u << (inj.Rand64() % 16);
           break;
       }
-    }
+    });
   }
   // Appended after the original sites so an un-ruled kNumaReplica never
   // perturbs the PRNG stream of existing chaos configurations.

@@ -82,10 +82,29 @@ struct TlbStats {
 TlbResult CheckEntryAccess(const TlbEntry& entry, AccessType access,
                            const DomainAccessControl& dacr);
 
+// The packed form of an entry's match condition: a query `(vpn, asid)`
+// encoded by Query() matches exactly when `(query & mask) == key`. The mask
+// keeps the VPN bits above the entry's size and, for a non-global entry,
+// the ASID byte; an invalid slot has mask 0 and a key no query can equal.
+// This is TlbEntry::Matches in one AND and one compare.
+struct TlbMatchKey {
+  uint64_t key = ~0ull;
+  uint64_t mask = 0;
+
+  static uint64_t Query(uint32_t vpn, Asid asid) {
+    return vpn | (static_cast<uint64_t>(asid) << 32);
+  }
+  static TlbMatchKey Of(const TlbEntry& entry);
+
+  bool Matches(uint64_t query) const { return (query & mask) == key; }
+};
+
 // The unified main TLB: set-associative, round-robin replacement per set.
 // 64 KB and 1 MB entries are indexed by their aligned base VPN; lookups
 // therefore probe the 4 KB-index set, the 64 KB-index set and the
-// 1 MB-index set.
+// 1 MB-index set — but only those base-index sets whose summary bit says
+// they may hold an entry a 4 KB home-set probe would not find (see
+// DESIGN.md §5m).
 class MainTlb {
  public:
   MainTlb(uint32_t num_entries, uint32_t ways);
@@ -132,11 +151,17 @@ class MainTlb {
     return entries_[set * ways_ + way];
   }
 
-  // Chaos backdoor: mutable access to a stored entry so the injector can
-  // flip tag/attribute bits in place, bypassing Insert's dedup scrubbing.
-  // Never used by the lookup/insert machinery itself.
-  TlbEntry& EntryAtForChaos(uint32_t set, uint32_t way) {
-    return entries_[set * ways_ + way];
+  // Chaos backdoor: lets the injector flip tag/attribute bits of a stored
+  // entry in place, bypassing Insert's dedup scrubbing. `mutate` receives
+  // the entry; the slot's match key and its set's summary bit are then
+  // rebuilt from whatever it left there, so lookups see exactly the
+  // corrupted entry. Never used by the lookup/insert machinery itself.
+  template <typename Fn>
+  void MutateEntryForChaos(uint32_t set, uint32_t way, Fn&& mutate) {
+    const uint32_t slot = set * ways_ + way;
+    mutate(entries_[slot]);
+    keys_[slot] = TlbMatchKey::Of(entries_[slot]);
+    RebuildSummary(set);
   }
 
   // Flush operations report entries-flushed counts as trace events.
@@ -152,21 +177,41 @@ class MainTlb {
     kFlushKindVa,
   };
 
+  static constexpr uint32_t kNoWay = UINT32_MAX;
+
   uint32_t SetIndexOf(uint32_t vpn) const { return vpn & (num_sets_ - 1); }
-  TlbEntry* FindInSet(uint32_t set, uint32_t vpn, Asid asid);
+  // First way of `set` whose entry matches `query`, or kNoWay.
+  uint32_t FindInSet(uint32_t set, uint64_t query) const;
+  // Is this valid entry anything but a 4 KB entry sitting in its own home
+  // set? Only such entries can be found outside a 4 KB query's home set.
+  bool IsAway(const TlbEntry& entry, uint32_t set) const {
+    return entry.size_pages != 1 || SetIndexOf(entry.vpn) != set;
+  }
+  void Invalidate(uint32_t slot);
+  void RebuildSummary(uint32_t set);
+  template <typename Pred>
+  void FlushMatching(FlushKind kind, Pred should_flush);
 
   uint32_t ways_;
   uint32_t num_sets_;
-  std::vector<TlbEntry> entries_;        // num_sets_ x ways_
-  std::vector<uint32_t> replace_cursor_; // round-robin per set
+  std::vector<TlbEntry> entries_;         // num_sets_ x ways_
+  std::vector<TlbMatchKey> keys_;         // one per entry, kept in step
+  // Per set: may it hold a valid entry for which IsAway() is true? Set by
+  // large/section inserts and by chaos, recomputed by every flush. A clear
+  // bit lets a 4 KB lookup or insert skip the set as a base-index set.
+  std::vector<uint8_t> has_away_;
+  std::vector<uint32_t> replace_cursor_;  // round-robin per set
   TlbStats stats_;
   Tracer* tracer_ = nullptr;
 };
 
 // A micro TLB: small, fully associative, FIFO replacement, flushed on
-// every context switch (Cortex-A9 behaviour the paper leans on).
+// every context switch (Cortex-A9 behaviour the paper leans on). Lookups
+// scan packed match keys in index order; a bitmask of valid slots picks
+// the lowest free slot on insert.
 class MicroTlb {
  public:
+  // At most 64 entries (one bit of the valid mask each).
   explicit MicroTlb(uint32_t num_entries);
 
   TlbResult Lookup(VirtAddr va, Asid asid, AccessType access,
@@ -184,7 +229,12 @@ class MicroTlb {
   const TlbEntry& EntryAt(uint32_t index) const { return entries_[index]; }
 
  private:
+  void Invalidate(uint32_t index);
+
+  std::vector<TlbMatchKey> keys_;
   std::vector<TlbEntry> entries_;
+  uint64_t valid_ = 0;  // bit i: entries_[i].valid
+  uint64_t all_ = 0;    // one bit per slot
   uint32_t fifo_cursor_ = 0;
   TlbStats stats_;
 };

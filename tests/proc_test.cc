@@ -163,6 +163,49 @@ TEST(KernelTest, ExitFreesSharedPtpsByRefcount) {
   EXPECT_FALSE(app->alive);
 }
 
+// Exit frees the dead task's address space: after a fork/exit churn every
+// dead task record has a null mm, and the survivors (whose page tables the
+// dead shared) still audit clean.
+TEST(KernelTest, ExitFreesTheMmOfEveryDeadTask) {
+  Kernel kernel{SharedParams()};
+  Task* zygote = kernel.CreateTask("zygote");
+  kernel.Exec(*zygote, "app_process", true);
+  kernel.Mmap(*zygote, CodeRequest(0x40000000, 8, 7));
+  kernel.Mmap(*zygote, AnonRequest(0xB0000000, 8, /*stack=*/true));
+  kernel.TouchPage(*zygote, 0x40000000, AccessType::kExecute);
+  kernel.TouchPage(*zygote, 0xB0000000, AccessType::kWrite);
+
+  std::vector<Task*> live;
+  for (uint32_t i = 0; i < 60; ++i) {
+    Task* parent = live.empty() || i % 3 == 0 ? zygote : live.back();
+    Task* child = kernel.Fork(*parent, "app" + std::to_string(i)).child;
+    ASSERT_NE(child, nullptr);
+    kernel.TouchPage(*child, 0x40000000 + (i % 8) * kPageSize,
+                     AccessType::kExecute);
+    kernel.TouchPage(*child, 0xB0000000 + (i % 8) * kPageSize,
+                     AccessType::kWrite);
+    live.push_back(child);
+    if (i % 2 == 1) {
+      // Exit an older task, often the parent of a live child.
+      Task* victim = live[live.size() / 2];
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(live.size() / 2));
+      kernel.Exit(*victim);
+    }
+  }
+  uint32_t dead = 0;
+  for (const auto& task : kernel.tasks()) {
+    if (!task->alive) {
+      dead++;
+      EXPECT_EQ(task->mm, nullptr) << "pid " << task->pid;
+    } else {
+      EXPECT_NE(task->mm, nullptr) << "pid " << task->pid;
+    }
+  }
+  EXPECT_EQ(dead, 30u);
+  const AuditReport report = kernel.AuditInvariants();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+}
+
 TEST(KernelTest, LastForkResultExposesTable4Stats) {
   Kernel kernel{SharedParams()};
   Task* zygote = kernel.CreateTask("zygote");

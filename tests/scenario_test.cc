@@ -471,6 +471,66 @@ TEST(HarnessScenarioTest, ParseHarnessArgsLoadsAndValidatesScenario) {
   EXPECT_FALSE(options.scenario_graph.elements.empty());
 }
 
+// Runs ParseHarnessArgs on one flag; for EXPECT_EXIT.
+void ParseOneHarnessFlag(const std::string& flag) {
+  std::string arg = flag;
+  char prog[] = "scenario_test";
+  char* argv[] = {prog, arg.data(), nullptr};
+  int argc = 2;
+  ParseHarnessArgs(&argc, argv);
+}
+
+TEST(HarnessScenarioTest, MalformedNumericFlagsAreUsageErrors) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(ParseOneHarnessFlag("--jobs=x"), ::testing::ExitedWithCode(2),
+              "--jobs expects an integer");
+  EXPECT_EXIT(ParseOneHarnessFlag("--jobs=4x"), ::testing::ExitedWithCode(2),
+              "got '4x'");
+  EXPECT_EXIT(ParseOneHarnessFlag("--jobs=-1"), ::testing::ExitedWithCode(2),
+              "--jobs expects");
+  EXPECT_EXIT(ParseOneHarnessFlag("--jobs=4294967296"),
+              ::testing::ExitedWithCode(2), "--jobs expects");
+  EXPECT_EXIT(ParseOneHarnessFlag("--seed="), ::testing::ExitedWithCode(2),
+              "--seed expects");
+  EXPECT_EXIT(ParseOneHarnessFlag("--seed=18446744073709551616"),
+              ::testing::ExitedWithCode(2), "--seed expects");
+  EXPECT_EXIT(ParseOneHarnessFlag("--phys-mb=abc"),
+              ::testing::ExitedWithCode(2), "--phys-mb expects");
+  // 2^44 MB is 2^64 bytes: it would wrap the byte count to 0.
+  EXPECT_EXIT(ParseOneHarnessFlag("--phys-mb=17592186044416"),
+              ::testing::ExitedWithCode(2), "--phys-mb expects");
+  EXPECT_EXIT(ParseOneHarnessFlag("--swap-mb=1.5"),
+              ::testing::ExitedWithCode(2), "--swap-mb expects");
+  EXPECT_EXIT(ParseOneHarnessFlag("--job-timeout=soon"),
+              ::testing::ExitedWithCode(2), "--job-timeout expects");
+  EXPECT_EXIT(ParseOneHarnessFlag("--job-timeout=-3"),
+              ::testing::ExitedWithCode(2), "--job-timeout expects");
+  EXPECT_EXIT(ParseOneHarnessFlag("--job-timeout=inf"),
+              ::testing::ExitedWithCode(2), "--job-timeout expects");
+  EXPECT_EXIT(ParseOneHarnessFlag("--retries=2r"),
+              ::testing::ExitedWithCode(2), "--retries expects");
+}
+
+TEST(HarnessScenarioTest, WellFormedNumericFlagsParse) {
+  std::string flags[] = {"--jobs=3",       "--seed=18446744073709551615",
+                         "--phys-mb=256",  "--swap-mb=64",
+                         "--job-timeout=2.5", "--retries=1"};
+  char prog[] = "scenario_test";
+  char* argv[] = {prog,           flags[0].data(), flags[1].data(),
+                  flags[2].data(), flags[3].data(), flags[4].data(),
+                  flags[5].data(), nullptr};
+  int argc = 7;
+  const BenchOptions options = ParseHarnessArgs(&argc, argv);
+  EXPECT_EQ(argc, 1);
+  EXPECT_EQ(options.jobs, 3u);
+  EXPECT_EQ(options.seed, 18446744073709551615ull);
+  EXPECT_TRUE(options.seed_set);
+  EXPECT_EQ(options.phys_mb, 256u);
+  EXPECT_EQ(options.swap_mb, 64u);
+  EXPECT_EQ(options.job_timeout_s, 2.5);
+  EXPECT_EQ(options.retries, 1u);
+}
+
 TEST(HarnessScenarioTest, SystemJobsRunTheScenarioAsPreconditioning) {
   BenchOptions options;
   options.jobs = 1;
