@@ -44,7 +44,7 @@ while [ $# -gt 0 ]; do
       cmake -B build-asan -G Ninja -DSAT_SANITIZE=ASAN
       cmake --build build-asan
       ctest --test-dir build-asan --output-on-failure \
-        -R '_chaos|OopsRecovery|InvariantDeath|Watchdog|ScrubRepairsRottenLargeReplica|ScrubSweepVotesRottenWords'
+        -R '_chaos|OopsRecovery|InvariantDeath|Watchdog|ScrubRepairsRottenLargeReplica|ScrubSweepVotesRottenWords|ScrubTest'
       exit 0
       ;;
     --huge)

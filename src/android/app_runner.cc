@@ -71,9 +71,9 @@ AppRunStats AppRunner::Run(const AppFootprint& fp, bool exit_after) {
       stats.completed = false;
       return stats;
     }
-    fork_span.set_pid(app->pid);
+    fork_span.set_pid(static_cast<uint32_t>(app->pid));
   }
-  run_span.set_pid(app->pid);
+  run_span.set_pid(static_cast<uint32_t>(app->pid));
   kernel.SetCurrent(*app);
   stats.inherited_ptes = system_->CountInheritedPtes(*app, fp);
 
@@ -219,7 +219,8 @@ AppRunStats AppRunner::Run(const AppFootprint& fp, bool exit_after) {
   map_span.reset();
 
   if (app->alive) {
-    TraceSpan replay_span(tracer, TraceEventType::kAppPhase, app->pid);
+    TraceSpan replay_span(tracer, TraceEventType::kAppPhase,
+                          static_cast<uint32_t>(app->pid));
     replay_span.set_args(static_cast<uint64_t>(AppPhase::kReplay));
     for (const Event& event : events) {
       const TouchStatus status =

@@ -73,7 +73,7 @@ LaunchResult LaunchSimulator::LaunchOnce(uint32_t round) {
   // The cycle-level launch pipeline has no partial-run reporting; a
   // machine too small to hold zygote + one app fails loudly instead.
   SAT_CHECK(app != nullptr && "launch fork failed: out of physical memory");
-  launch_span.set_pid(app->pid);
+  launch_span.set_pid(static_cast<uint32_t>(app->pid));
   kernel.ScheduleTo(*app);
 
   // The app's own code/resources and heap.

@@ -1,6 +1,7 @@
 #include "src/mem/phys_memory.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <sstream>
 
@@ -17,6 +18,7 @@ PhysicalMemory::PhysicalMemory(uint64_t size_bytes, uint32_t num_nodes)
   SAT_CHECK(num_nodes >= 1 && "at least one NUMA node");
   frames_.resize(n);
   free_listed_.assign(n, false);
+  free_bitmap_.assign((n + 63) / 64, 0);
   frames_per_node_ = (n + num_nodes - 1) / num_nodes;
   SAT_CHECK(frames_per_node_ >= 1 && "more NUMA nodes than frames");
   free_lists_.resize(num_nodes);
@@ -29,6 +31,7 @@ PhysicalMemory::PhysicalMemory(uint64_t size_bytes, uint32_t num_nodes)
     const uint32_t node = NodeOfFrame(static_cast<FrameNumber>(i));
     free_lists_[node].push_back(static_cast<FrameNumber>(i));
     free_listed_[i] = true;
+    MarkFree(static_cast<FrameNumber>(i), true);
     free_count_per_node_[node]++;
   }
   free_count_ = n - 1;
@@ -112,6 +115,7 @@ void PhysicalMemory::FinishAlloc(FrameNumber number, FrameKind kind) {
   free_count_per_node_[NodeOfFrame(number)]--;
   PageFrame& f = frames_[number];
   f.kind = kind;
+  MarkFree(number, false);
   f.ref_count = 1;
   f.map_count = 0;
   f.file = kNoFile;
@@ -138,6 +142,7 @@ std::optional<FrameNumber> PhysicalMemory::TryAllocContiguousFrames(
     for (uint32_t i = 0; i < count; ++i) {
       PageFrame& f = frames_[base + i];
       f.kind = kind;
+      MarkFree(base + i, false);
       f.ref_count = 1;
       f.map_count = 0;
       f.file = kNoFile;
@@ -165,37 +170,71 @@ std::optional<FrameNumber> PhysicalMemory::TryAllocContiguousFrames(
     // Round up to natural alignment; frame 0 is the zero page.
     uint64_t base = std::max<uint64_t>(node_begin, count);
     base = (base + count - 1) / count * count;
-    for (; base + count <= node_end; base += count) {
-      if (RunIsFree(base, count)) {
-        claim_run(static_cast<FrameNumber>(base));
-        return static_cast<FrameNumber>(base);
-      }
+    const std::optional<FrameNumber> run = FirstFreeRun(base, node_end, count);
+    if (run.has_value()) {
+      claim_run(*run);
+      return run;
     }
   }
   // Global first-fit scan over naturally aligned candidate runs. Frame 0
   // is the zero page, so candidates start at `count`.
-  for (uint64_t base = count; base + count <= frames_.size(); base += count) {
-    if (!RunIsFree(base, count)) {
-      continue;
-    }
-    if (num_nodes_ > 1 &&
-        NodeOfFrame(static_cast<FrameNumber>(base)) !=
-            NodeOfFrame(static_cast<FrameNumber>(base + count - 1))) {
-      numa_cross_node_runs_++;
-    }
-    claim_run(static_cast<FrameNumber>(base));
-    return static_cast<FrameNumber>(base);
+  const std::optional<FrameNumber> run =
+      FirstFreeRun(count, frames_.size(), count);
+  if (!run.has_value()) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  if (num_nodes_ > 1 &&
+      NodeOfFrame(*run) != NodeOfFrame(*run + count - 1)) {
+    numa_cross_node_runs_++;
+  }
+  claim_run(*run);
+  return run;
 }
 
-bool PhysicalMemory::RunIsFree(uint64_t base, uint32_t count) const {
-  for (uint32_t i = 0; i < count; ++i) {
-    if (frames_[base + i].kind != FrameKind::kFree) {
-      return false;
+std::optional<FrameNumber> PhysicalMemory::FirstFreeRun(uint64_t begin,
+                                                        uint64_t end,
+                                                        uint32_t count) const {
+  if (end < begin + count) {
+    return std::nullopt;
+  }
+  const uint64_t last_base = end - count;
+  if (count >= 64) {
+    // Whole bitmap words per candidate.
+    for (uint64_t base = begin; base <= last_base; base += count) {
+      const auto first = free_bitmap_.begin() + static_cast<long>(base / 64);
+      if (std::all_of(first, first + count / 64,
+                      [](uint64_t word) { return word == ~uint64_t{0}; })) {
+        return static_cast<FrameNumber>(base);
+      }
+    }
+    return std::nullopt;
+  }
+  // `count` divides 64, so no aligned run straddles two words. Folding a
+  // word onto itself leaves bit i set iff frames i .. i+count-1 of the
+  // word are all free; the candidates are the aligned bits of that.
+  uint64_t aligned = 0;
+  for (uint32_t bit = 0; bit < 64; bit += count) {
+    aligned |= uint64_t{1} << bit;
+  }
+  for (uint64_t word = begin / 64; word <= last_base / 64; ++word) {
+    uint64_t runs = free_bitmap_[word];
+    for (uint32_t width = 1; width < count; width *= 2) {
+      runs &= runs >> width;
+    }
+    uint64_t candidates = runs & aligned;
+    const uint64_t word_base = word * 64;
+    if (begin > word_base) {
+      candidates &= ~uint64_t{0} << (begin - word_base);
+    }
+    if (last_base < word_base + 63) {
+      candidates &= ~uint64_t{0} >> (63 - (last_base - word_base));
+    }
+    if (candidates != 0) {
+      const auto offset = static_cast<uint64_t>(std::countr_zero(candidates));
+      return static_cast<FrameNumber>(word_base + offset);
     }
   }
-  return true;
+  return std::nullopt;
 }
 
 FrameNumber PhysicalMemory::AllocFrame(FrameKind kind) {
@@ -224,6 +263,7 @@ bool PhysicalMemory::UnrefFrame(FrameNumber number) {
   const FrameKind freed_kind = f.kind;
   const bool condemned = f.quarantine_on_free;
   f.kind = condemned ? FrameKind::kQuarantined : FrameKind::kFree;
+  MarkFree(number, !condemned);
   f.map_count = 0;
   f.file = kNoFile;
   f.content = 0;
@@ -257,6 +297,7 @@ bool PhysicalMemory::QuarantineFrame(FrameNumber number) {
   }
   if (f.kind == FrameKind::kFree) {
     f.kind = FrameKind::kQuarantined;
+    MarkFree(number, false);
     free_count_--;
     free_count_per_node_[NodeOfFrame(number)]--;
     quarantined_count_++;
@@ -295,6 +336,16 @@ uint64_t PhysicalMemory::CountFrames(FrameKind kind) const {
     }
   }
   return count;
+}
+
+bool PhysicalMemory::FreeBitmapMatchesFrames() const {
+  for (uint64_t i = 0; i < frames_.size(); ++i) {
+    const bool marked = (free_bitmap_[i / 64] >> (i % 64)) & 1;
+    if (marked != (frames_[i].kind == FrameKind::kFree)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::string PhysicalMemory::ToString() const {

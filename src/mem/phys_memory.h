@@ -201,6 +201,9 @@ class PhysicalMemory {
   // Number of live frames of a given kind (O(n); for tests and reports).
   uint64_t CountFrames(FrameKind kind) const;
 
+  // Recounts the free bitmap against the frames' kinds (O(n); for tests).
+  bool FreeBitmapMatchesFrames() const;
+
   std::string ToString() const;
 
  private:
@@ -213,8 +216,22 @@ class PhysicalMemory {
   // bookkeeping, observer notification.
   void FinishAlloc(FrameNumber number, FrameKind kind);
 
-  // True when frames [base, base+count) are all free.
-  bool RunIsFree(uint64_t base, uint32_t count) const;
+  // First-fit search of the free bitmap: the lowest `count`-aligned base
+  // in [begin, end) whose `count` frames are all free and end by `end`.
+  // `count` is a power of two and `begin` a multiple of it.
+  std::optional<FrameNumber> FirstFreeRun(uint64_t begin, uint64_t end,
+                                          uint32_t count) const;
+
+  // Keeps free_bitmap_ in step with a frame's kind change to or from
+  // kFree.
+  void MarkFree(FrameNumber number, bool free) {
+    const uint64_t bit = uint64_t{1} << (number % 64);
+    if (free) {
+      free_bitmap_[number / 64] |= bit;
+    } else {
+      free_bitmap_[number / 64] &= ~bit;
+    }
+  }
 
   std::vector<PageFrame> frames_;
   // One free list per NUMA node (a single list on single-node machines).
@@ -223,6 +240,9 @@ class PhysicalMemory {
   // (entries can go stale when AllocContiguousFrames claims frames
   // out-of-band; stale entries are skipped and discarded by AllocFrame).
   std::vector<bool> free_listed_;
+  // One bit per frame, set iff its kind is kFree: the contiguous-run
+  // search tests 64 frames per word instead of reading each PageFrame.
+  std::vector<uint64_t> free_bitmap_;
   uint64_t free_count_ = 0;
   std::vector<uint64_t> free_count_per_node_;
   uint64_t numa_fallbacks_ = 0;

@@ -329,7 +329,8 @@ Task* Kernel::CreateTask(const std::string& name) {
 ForkOutcome Kernel::Fork(Task& parent, const std::string& name) {
   SAT_CHECK(parent.mm != nullptr && "fork from a task without an mm");
   SetActiveCore(parent.last_core);
-  TraceSpan span(tracer_.get(), TraceEventType::kFork, parent.pid);
+  TraceSpan span(tracer_.get(), TraceEventType::kFork,
+                 static_cast<uint32_t>(parent.pid));
   ForkOutcome outcome;
   Task* child = CreateTask(name);
 
@@ -398,7 +399,7 @@ ForkOutcome Kernel::Fork(Task& parent, const std::string& name) {
   machine_->core(parent.last_core)
       .RunKernelPath(KernelPath::kFork, outcome.stats.cycles,
                      /*text_lines=*/180);
-  span.set_args(child->pid, outcome.stats.ptes_copied);
+  span.set_args(static_cast<uint64_t>(child->pid), outcome.stats.ptes_copied);
   span.set_duration(outcome.stats.cycles);
   RunKswapdIfNeeded();
   outcome.child = child;
@@ -408,7 +409,9 @@ ForkOutcome Kernel::Fork(Task& parent, const std::string& name) {
 
 void Kernel::Exec(Task& task, const std::string& name, bool is_zygote) {
   SetActiveCore(task.last_core);
-  Tracer::Emit(tracer_.get(), TraceEventType::kExec, task.pid, task.pid);
+  Tracer::Emit(tracer_.get(), TraceEventType::kExec,
+               static_cast<uint32_t>(task.pid),
+               static_cast<uint64_t>(task.pid));
   vm_->ExitMm(*task.mm);
   FlushFnFor(task)();
   SyncShootdowns();
@@ -427,7 +430,9 @@ void Kernel::Exec(Task& task, const std::string& name, bool is_zygote) {
 void Kernel::Exit(Task& task) {
   SAT_CHECK(task.alive && "exit of a task that is already dead");
   SetActiveCore(task.last_core);
-  Tracer::Emit(tracer_.get(), TraceEventType::kExit, task.pid, task.pid);
+  Tracer::Emit(tracer_.get(), TraceEventType::kExit,
+               static_cast<uint32_t>(task.pid),
+               static_cast<uint64_t>(task.pid));
   vm_->ExitMm(*task.mm);
   FlushFnFor(task)();
   if (task.zygote && vm_->config().share_tlb_global) {
@@ -755,7 +760,8 @@ uint32_t Kernel::RunKsmScan() {
     if (!t->alive || t->mm == nullptr) {
       continue;
     }
-    targets.push_back(KsmScanTarget{t->mm.get(), t->pid, FlushFnFor(*t)});
+    targets.push_back(KsmScanTarget{t->mm.get(), static_cast<uint32_t>(t->pid),
+                                    FlushFnFor(*t)});
   }
   const uint32_t merged = ksm_->ScanOnce(targets);
   SyncShootdowns();  // daemon tick
@@ -769,7 +775,8 @@ uint32_t Kernel::RunHugeScan() {
     if (!t->alive || t->mm == nullptr) {
       continue;
     }
-    targets.push_back(HugeScanTarget{t->mm.get(), t->pid, FlushFnFor(*t)});
+    targets.push_back(HugeScanTarget{
+        t->mm.get(), static_cast<uint32_t>(t->pid), FlushFnFor(*t)});
   }
   const uint32_t collapsed = huge_->ScanOnce(targets);
   SyncShootdowns();  // daemon tick
@@ -1352,8 +1359,9 @@ void Kernel::OopsKillByDamage(const OopsDamage& damage, Task* offender) {
       continue;  // double-listed, or torn down by an earlier kill
     }
     counters_.oops_kills++;
-    Tracer::Emit(tracer_.get(), TraceEventType::kOomKill, victim->pid,
-                 victim->pid, TaskRssPages(*victim));
+    Tracer::Emit(tracer_.get(), TraceEventType::kOomKill,
+                 static_cast<uint32_t>(victim->pid),
+                 static_cast<uint64_t>(victim->pid), TaskRssPages(*victim));
     victim->oops_killed = true;
     Exit(*victim);
   }
@@ -1387,8 +1395,9 @@ Task* Kernel::PickOomVictim(const Task* immune, const Task* immune2) {
 
 void Kernel::OomKill(Task& victim) {
   counters_.oom_kills++;
-  Tracer::Emit(tracer_.get(), TraceEventType::kOomKill, victim.pid,
-               victim.pid, TaskRssPages(victim));
+  Tracer::Emit(tracer_.get(), TraceEventType::kOomKill,
+               static_cast<uint32_t>(victim.pid),
+               static_cast<uint64_t>(victim.pid), TaskRssPages(victim));
   victim.oom_killed = true;
   Exit(victim);
 }
@@ -1504,8 +1513,8 @@ void Kernel::ScheduleTo(Task& task, uint32_t core_id) {
   if (task.IsZygoteLike()) {
     zygote_cpu_mask_ |= CpuBit(core_id);
   }
-  Tracer::Emit(tracer_.get(), TraceEventType::kContextSwitch, task.pid,
-               task.asid, core_id);
+  Tracer::Emit(tracer_.get(), TraceEventType::kContextSwitch,
+               static_cast<uint32_t>(task.pid), task.asid, core_id);
   machine_->core(core_id).SwitchContext(ContextFor(task));
 }
 

@@ -393,15 +393,7 @@ std::optional<uint32_t> PageTable::TryUnshareSlot(
     if (kind != FrameKind::kAnon && kind != FrameKind::kFileCache) {
       return false;
     }
-    if (rmap_ == nullptr) {
-      return true;
-    }
-    for (const RmapEntry& entry : rmap_->MappingsOf(f)) {
-      if (entry.ptp == shared_id && entry.index == i) {
-        return true;
-      }
-    }
-    return false;
+    return rmap_ == nullptr || rmap_->HasSite(f, shared_id, i);
   };
 
   uint32_t copied = 0;

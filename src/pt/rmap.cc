@@ -38,20 +38,20 @@ uint32_t ReverseMap::MapCount(FrameNumber frame) const {
   return it == map_.end() ? 0 : static_cast<uint32_t>(it->second.size());
 }
 
-void ReverseMap::ForEach(
-    FrameNumber frame, const std::function<void(const RmapEntry&)>& fn) const {
-  const auto it = map_.find(frame);
-  if (it == map_.end()) {
-    return;
-  }
-  for (const RmapEntry& entry : it->second) {
-    fn(entry);
-  }
-}
-
 std::vector<RmapEntry> ReverseMap::MappingsOf(FrameNumber frame) const {
   const auto it = map_.find(frame);
   return it == map_.end() ? std::vector<RmapEntry>{} : it->second;
+}
+
+bool ReverseMap::HasSite(FrameNumber frame, PtpId ptp, uint32_t index) const {
+  const auto it = map_.find(frame);
+  if (it == map_.end()) {
+    return false;
+  }
+  return std::any_of(it->second.begin(), it->second.end(),
+                     [&](const RmapEntry& entry) {
+                       return entry.ptp == ptp && entry.index == index;
+                     });
 }
 
 std::optional<std::pair<FrameNumber, VirtAddr>> ReverseMap::FindAtSite(

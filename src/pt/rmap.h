@@ -14,7 +14,6 @@
 #define SRC_PT_RMAP_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -52,17 +51,31 @@ class ReverseMap {
   // shared PTP contributes one).
   uint32_t MapCount(FrameNumber frame) const;
 
-  // Visits every mapping of `frame`. The callback must not mutate this
-  // frame's rmap; reclaim collects first, then clears.
-  void ForEach(FrameNumber frame,
-               const std::function<void(const RmapEntry&)>& fn) const;
-
+  // A copy of `frame`'s mappings, safe to hold while the rmap changes.
   std::vector<RmapEntry> MappingsOf(FrameNumber frame) const;
 
+  // Does `frame` have an entry naming (ptp, index)? Stops at the first
+  // match and allocates nothing.
+  bool HasSite(FrameNumber frame, PtpId ptp, uint32_t index) const;
+
+  // Visits every entry of every frame as fn(frame, entry), in the order
+  // FindAtSite scans them, so the first entry seen for a site is the one
+  // FindAtSite returns. The callback must not mutate the rmap.
+  template <typename Fn>
+  void ForEachEntry(Fn&& fn) const {
+    for (const auto& [frame, entries] : map_) {
+      for (const RmapEntry& entry : entries) {
+        fn(frame, entry);
+      }
+    }
+  }
+
   // Which frame does the rmap believe is mapped at (ptp, index)? Linear
-  // scan over all entries — only used by scrub repair, where the hardware
-  // PTE's frame bits are suspect and the rmap is the surviving copy of
-  // the truth. Returns nullopt when no entry names the site.
+  // scan over all entries — only used where the hardware PTE's frame bits
+  // are suspect (teardown and unshare of a rotted descriptor) and the
+  // rmap is the surviving copy of the truth; scrubd answers the same
+  // question for a whole pass from one ForEachEntry walk. Returns
+  // nullopt when no entry names the site.
   std::optional<std::pair<FrameNumber, VirtAddr>> FindAtSite(
       PtpId ptp, uint32_t index) const;
 

@@ -48,12 +48,12 @@ bool Reclaimer::ReclaimPage(FileId file, uint32_t page_index,
   // block would require splitting the block first (as Linux splits THPs);
   // both are skipped.
   bool reclaimable = true;
-  rmap_->ForEach(frame, [&](const RmapEntry& mapping) {
+  for (const RmapEntry& mapping : rmap_->MappingsOf(frame)) {
     const HwPte& pte = ptps_->Get(mapping.ptp).hw(mapping.index);
     if (pte.large() || pte.perm() == PtePerm::kReadWrite) {
       reclaimable = false;
     }
-  });
+  }
   if (!reclaimable) {
     stats->pages_skipped++;
     return false;

@@ -23,14 +23,31 @@ bool Scrubber::FrameLooksMapped(FrameNumber frame) const {
   }
 }
 
-bool Scrubber::RmapHasSite(FrameNumber frame, PtpId ptp, uint32_t index) const {
-  bool found = false;
-  rmap_->ForEach(frame, [&](const RmapEntry& entry) {
-    if (entry.ptp == ptp && entry.index == index) {
-      found = true;
+void Scrubber::BuildSiteTable() {
+  for (uint32_t slot = 0; slot < window_.size(); ++slot) {
+    const auto id = static_cast<size_t>(window_[slot]);
+    if (id >= window_slot_.size()) {
+      window_slot_.resize(id + 1, kNotInWindow);
+    }
+    window_slot_[id] = slot;
+  }
+  site_table_.assign(window_.size() * kPtesPerPtp, SiteTruth{});
+  mapped_frames_.assign((phys_->total_frames() + 63) / 64, 0);
+  rmap_->ForEachEntry([&](FrameNumber frame, const RmapEntry& entry) {
+    mapped_frames_[frame / 64] |= uint64_t{1} << (frame % 64);
+    const auto id = static_cast<size_t>(entry.ptp);
+    if (id >= window_slot_.size() || window_slot_[id] == kNotInWindow) {
+      return;
+    }
+    SiteTruth& truth =
+        site_table_[window_slot_[id] * size_t{kPtesPerPtp} + entry.index];
+    if (truth.frame == kNoFrame) {
+      truth = SiteTruth{frame, entry.va};
     }
   });
-  return found;
+  for (const PtpId id : window_) {
+    window_slot_[static_cast<size_t>(id)] = kNotInWindow;
+  }
 }
 
 void Scrubber::RebuildFromFrame(PageTablePage& ptp, uint32_t index,
@@ -47,6 +64,28 @@ void Scrubber::RebuildFromFrame(PageTablePage& ptp, uint32_t index,
   }
 }
 
+namespace {
+
+// A word that can vote in TryRepairRunReplica: a valid large descriptor
+// naming a 64 KB-aligned base.
+bool IsRunVoter(const HwPte& hw) {
+  return hw.valid() && hw.large() && hw.frame() % kPtesPerLargePage == 0;
+}
+
+// Whether the 16-aligned group holding `index` has enough voters for
+// TryRepairRunReplica to reach its majority of kPtesPerLargePage / 2
+// sibling votes. When it has not, the vote cannot pass and is skipped.
+bool RunVotePossible(const PageTablePage& ptp, uint32_t index) {
+  const uint32_t run_first = index & ~(kPtesPerLargePage - 1);
+  uint32_t voters = 0;
+  for (uint32_t i = run_first; i < run_first + kPtesPerLargePage; ++i) {
+    voters += IsRunVoter(ptp.hw(i)) ? 1u : 0u;
+  }
+  return voters >= kPtesPerLargePage / 2;
+}
+
+}  // namespace
+
 bool Scrubber::TryRepairRunReplica(PageTablePage& ptp, uint32_t index) {
   // A legitimately small (or empty) PTE can never sit inside a live run:
   // promotion and demotion rewrite all 16 words or none, so a clear
@@ -61,8 +100,7 @@ bool Scrubber::TryRepairRunReplica(PageTablePage& ptp, uint32_t index) {
       continue;
     }
     const HwPte sibling = ptp.hw(i);
-    if (!sibling.valid() || !sibling.large() ||
-        sibling.frame() % kPtesPerLargePage != 0) {
+    if (!IsRunVoter(sibling)) {
       continue;
     }
     if (!have_exemplar) {
@@ -124,6 +162,16 @@ void Scrubber::DropSite(PageTablePage& ptp, uint32_t index, FrameNumber frame,
 
 ScrubSiteResult Scrubber::ScrubSite(PageTablePage& ptp, uint32_t index,
                                     const ScrubContext& ctx) {
+  window_.assign(1, ptp.id());
+  BuildSiteTable();
+  return CheckSite(ptp, index, site_table_[index],
+                   RunVotePossible(ptp, index), ctx);
+}
+
+ScrubSiteResult Scrubber::CheckSite(PageTablePage& ptp, uint32_t index,
+                                    const SiteTruth& truth,
+                                    bool run_vote_possible,
+                                    const ScrubContext& ctx) {
   const HwPte hw = ptp.hw(index);
   const LinuxPte sw = ptp.sw(index);
   const PtpId id = ptp.id();
@@ -138,12 +186,11 @@ ScrubSiteResult Scrubber::ScrubSite(PageTablePage& ptp, uint32_t index,
     // neighbours instead — the rmap rebuild below would install a small
     // PTE and leave the run torn.
     ptp.RecountPresentForScrub();
-    if (TryRepairRunReplica(ptp, index)) {
+    if (run_vote_possible && TryRepairRunReplica(ptp, index)) {
       return ScrubSiteResult::kRepaired;
     }
-    const auto truth = rmap_->FindAtSite(id, index);
-    if (truth.has_value()) {
-      RebuildFromFrame(ptp, index, truth->first, truth->second);
+    if (truth.frame != kNoFrame) {
+      RebuildFromFrame(ptp, index, truth.frame, truth.va);
     } else if (!sw.dirty()) {
       RebuildFromFrame(ptp, index, phys_->zero_frame(), 0);
     } else if (TryRepairFromReplicaMajority(ptp, index, ctx)) {
@@ -157,7 +204,7 @@ ScrubSiteResult Scrubber::ScrubSite(PageTablePage& ptp, uint32_t index,
   if (!sw.present()) {
     // Spurious-valid: the type bits rotted *on* over an empty or swap
     // shadow entry. No reference was ever taken through this descriptor.
-    if (rmap_->FindAtSite(id, index).has_value()) {
+    if (truth.frame != kNoFrame) {
       // The rmap insists something is mapped here while the shadow says
       // not: two trusted copies disagree, so neither can repair the other
       // — unless the NUMA replicas hold a majority word to break the tie.
@@ -178,7 +225,7 @@ ScrubSiteResult Scrubber::ScrubSite(PageTablePage& ptp, uint32_t index,
   // Valid and present: the mapped case. Run-replica voting first — a
   // torn run must be made whole again before the per-word checks below
   // "repair" the word into an even more torn small PTE.
-  if (TryRepairRunReplica(ptp, index)) {
+  if (run_vote_possible && TryRepairRunReplica(ptp, index)) {
     return ScrubSiteResult::kRepaired;
   }
   const FrameNumber frame = MappedFrameOf(hw, index);
@@ -187,17 +234,16 @@ ScrubSiteResult Scrubber::ScrubSite(PageTablePage& ptp, uint32_t index,
       phys_->frame(frame).kind != FrameKind::kKernel) {
     // Zero/kernel frames are deliberately absent from the rmap; everything
     // else must have an rmap entry naming exactly this site.
-    frame_ok = RmapHasSite(frame, id, index);
+    frame_ok = truth.frame == frame;
   }
   if (!frame_ok) {
     ptp.RecountPresentForScrub();
-    const auto truth = rmap_->FindAtSite(id, index);
-    if (truth.has_value()) {
-      const PageFrame& meta = phys_->frame(truth->first);
+    if (truth.frame != kNoFrame) {
+      const PageFrame& meta = phys_->frame(truth.frame);
       if (meta.kind == FrameKind::kFileCache && !sw.dirty()) {
-        DropSite(ptp, index, truth->first, truth->second);
+        DropSite(ptp, index, truth.frame, truth.va);
       } else {
-        RebuildFromFrame(ptp, index, truth->first, truth->second);
+        RebuildFromFrame(ptp, index, truth.frame, truth.va);
       }
       return ScrubSiteResult::kRepaired;
     }
@@ -267,30 +313,43 @@ ScrubPassResult Scrubber::RunPass(const ScrubContext& ctx,
 
   // Snapshot the live PTP population; the cursor makes successive passes
   // cover all of it round-robin even when the budget is small.
-  std::vector<PtpId> live;
+  live_.clear();
   ptps_->ForEachLive(
-      [&](const PageTablePage& ptp) { live.push_back(ptp.id()); });
-  if (!live.empty()) {
+      [&](const PageTablePage& ptp) { live_.push_back(ptp.id()); });
+  window_.clear();
+  if (!live_.empty()) {
     const uint64_t n =
-        std::min<uint64_t>(ptp_budget, static_cast<uint64_t>(live.size()));
+        std::min<uint64_t>(ptp_budget, static_cast<uint64_t>(live_.size()));
     for (uint64_t k = 0; k < n; ++k) {
-      const PtpId id = live[(cursor_ + k) % live.size()];
-      PageTablePage& ptp = ptps_->Get(id);
-      result.ptps_walked++;
-      for (uint32_t i = 0; i < kPtesPerPtp; ++i) {
-        switch (ScrubSite(ptp, i, ctx)) {
-          case ScrubSiteResult::kRepaired:
-            result.repairs++;
-            break;
-          case ScrubSiteResult::kUnrepairable:
-            result.unrepairable_sites.push_back({id, i});
-            break;
-          case ScrubSiteResult::kClean:
-            break;
-        }
+      window_.push_back(live_[(cursor_ + k) % live_.size()]);
+    }
+    cursor_ = (cursor_ + n) % live_.size();
+  }
+  BuildSiteTable();
+
+  for (size_t slot = 0; slot < window_.size(); ++slot) {
+    const PtpId id = window_[slot];
+    PageTablePage& ptp = ptps_->Get(id);
+    const SiteTruth* truths = &site_table_[slot * kPtesPerPtp];
+    result.ptps_walked++;
+    bool run_vote_possible = false;
+    for (uint32_t i = 0; i < kPtesPerPtp; ++i) {
+      if (i % kPtesPerLargePage == 0) {
+        run_vote_possible = RunVotePossible(ptp, i);
+      }
+      switch (CheckSite(ptp, i, truths[i], run_vote_possible, ctx)) {
+        case ScrubSiteResult::kRepaired:
+          result.repairs++;
+          // The repair rewrote word i: recount its group's voters.
+          run_vote_possible = RunVotePossible(ptp, i);
+          break;
+        case ScrubSiteResult::kUnrepairable:
+          result.unrepairable_sites.push_back({id, i});
+          break;
+        case ScrubSiteResult::kClean:
+          break;
       }
     }
-    cursor_ = (cursor_ + n) % live.size();
   }
 
   // Orphan sweep: an anonymous frame whose references are not explained by
@@ -304,7 +363,7 @@ ScrubPassResult Scrubber::RunPass(const ScrubContext& ctx,
         meta.ref_count == 0) {
       continue;
     }
-    if (rmap_->MapCount(fn) != 0) {
+    if ((mapped_frames_[fn / 64] >> (fn % 64)) & 1) {
       continue;
     }
     if (zram_ != nullptr && zram_->CacheSlotOf(fn).has_value()) {

@@ -116,19 +116,40 @@ class Scrubber {
   ScrubPassResult RunPass(const ScrubContext& ctx, uint32_t ptp_budget);
 
   // Validates and, if needed, repairs the single PTE site (`ptp`, `index`)
-  // — the touch path's inline detect-and-repair step.
+  // — the touch path's inline detect-and-repair step. Builds the site
+  // table for just this PTP, so it costs one walk of the rmap.
   ScrubSiteResult ScrubSite(PageTablePage& ptp, uint32_t index,
                             const ScrubContext& ctx);
 
  private:
+  // What the rmap says is mapped at one PTE site: the frame and address
+  // of the first entry naming it (the one ReverseMap::FindAtSite would
+  // return), or kNoFrame when no entry does.
+  struct SiteTruth {
+    FrameNumber frame = kNoFrame;
+    VirtAddr va = 0;
+  };
+  static constexpr FrameNumber kNoFrame = ~FrameNumber{0};
+  static constexpr uint32_t kNotInWindow = ~uint32_t{0};
+
+  // One walk of the rmap fills site_table_ for every site of the PTPs in
+  // window_ and mapped_frames_ for every frame with an rmap entry. The
+  // walk stays exact for the whole pass: the only rmap change a pass
+  // makes is DropSite removing the entry of the site it is repairing (a
+  // file-cache frame, so no later site and no anon frame is affected).
+  void BuildSiteTable();
+  // Validates and repairs one site against its row of the site table.
+  // `run_vote_possible` is false when the site's 16-aligned group holds
+  // too few large words for TryRepairRunReplica to reach a majority.
+  ScrubSiteResult CheckSite(PageTablePage& ptp, uint32_t index,
+                            const SiteTruth& truth, bool run_vote_possible,
+                            const ScrubContext& ctx);
   // True when the descriptor's frame bits point at a frame that could
   // legally be mapped by a user PTE.
   bool FrameLooksMapped(FrameNumber frame) const;
-  // Does the rmap know `frame` is mapped at (`ptp`, `index`)?
-  bool RmapHasSite(FrameNumber frame, PtpId ptp, uint32_t index) const;
   // The always-correct conservative rebuild: read-only, non-global,
-  // execute-never — a permission/prefetch fault lazily restores the real
-  // attributes from the VMA.
+  // executable — a permission fault lazily restores the real attributes
+  // from the VMA.
   void RebuildFromFrame(PageTablePage& ptp, uint32_t index, FrameNumber frame,
                         VirtAddr va);
   // Drop-and-refault repair for a clean refetchable page.
@@ -153,6 +174,15 @@ class Scrubber {
   // Round-robin position (by live-PTP enumeration order) so successive
   // passes cover the whole table population incrementally.
   uint64_t cursor_ = 0;
+  // Per-pass buffers, kept to reuse their allocations: the live PTPs, the
+  // window of them this pass validates, each window PTP's slot (indexed
+  // by PtpId, kNotInWindow elsewhere), the site table (kPtesPerPtp rows
+  // per window slot), and a bitset of frames with any rmap entry.
+  std::vector<PtpId> live_;
+  std::vector<PtpId> window_;
+  std::vector<uint32_t> window_slot_;
+  std::vector<SiteTruth> site_table_;
+  std::vector<uint64_t> mapped_frames_;
 };
 
 }  // namespace sat

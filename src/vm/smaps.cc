@@ -15,9 +15,9 @@ uint32_t ProcessMapCount(FrameNumber frame, const PtpAllocator& ptps,
     return 1;
   }
   uint32_t count = 0;
-  rmap->ForEach(frame, [&](const RmapEntry& entry) {
+  for (const RmapEntry& entry : rmap->MappingsOf(frame)) {
     count += ptps.SharerCount(entry.ptp);
-  });
+  }
   return count == 0 ? 1 : count;
 }
 

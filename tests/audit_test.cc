@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/core/sat.h"
+#include "tests/rmap_oracle.h"
 
 namespace sat {
 namespace {
@@ -386,6 +387,11 @@ TEST_P(AuditFuzzTest, EveryIntermediateStateAuditsClean) {
     ASSERT_TRUE(report.ok())
         << "after op " << op << ":\n"
         << report.ToString();
+    ASSERT_TRUE(kernel.phys().FreeBitmapMatchesFrames()) << "after op " << op;
+    // The auditor compares rmap and PTE counts per frame; the oracle
+    // checks every rmap entry against the word at its site.
+    ASSERT_EQ(RmapSiteViolation(kernel.rmap(), kernel.ptp_allocator()), "")
+        << "after op " << op;
   }
 
   for (Task* task : live) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
+#include <vector>
+
 #include "src/mem/page_cache.h"
 #include "src/mem/phys_memory.h"
 
@@ -64,6 +69,99 @@ TEST(PhysMemoryTest, CountFramesByKind) {
   EXPECT_EQ(phys.CountFrames(FrameKind::kAnon), 2u);
   EXPECT_EQ(phys.CountFrames(FrameKind::kPageTable), 1u);
   EXPECT_NE(phys.ToString().find("anon=2"), std::string::npos);
+}
+
+// The first naturally aligned run of `count` free frames in [begin, end),
+// found by reading every frame's kind.
+std::optional<FrameNumber> NaiveFirstFreeRun(const PhysicalMemory& phys,
+                                             uint64_t begin, uint64_t end,
+                                             uint32_t count) {
+  for (uint64_t base = begin; base + count <= end; base += count) {
+    bool free = true;
+    for (uint32_t i = 0; i < count && free; ++i) {
+      free = phys.frame(static_cast<FrameNumber>(base + i)).kind ==
+             FrameKind::kFree;
+    }
+    if (free) {
+      return static_cast<FrameNumber>(base);
+    }
+  }
+  return std::nullopt;
+}
+
+// What TryAllocContiguousFrames must pick: the preferred node's first run
+// on a multi-node machine, else the machine-wide first run.
+std::optional<FrameNumber> NaiveContiguousPick(const PhysicalMemory& phys,
+                                               uint32_t count) {
+  if (phys.num_nodes() > 1) {
+    const uint64_t node_begin =
+        phys.preferred_node() * phys.frames_per_node();
+    const uint64_t node_end = std::min<uint64_t>(
+        node_begin + phys.frames_per_node(), phys.total_frames());
+    const uint64_t begin =
+        (std::max<uint64_t>(node_begin, count) + count - 1) / count * count;
+    const auto local = NaiveFirstFreeRun(phys, begin, node_end, count);
+    if (local.has_value()) {
+      return local;
+    }
+  }
+  return NaiveFirstFreeRun(phys, count, phys.total_frames(), count);
+}
+
+TEST(PhysMemoryTest, FreeBitmapTracksEveryKindChange) {
+  // 1000 frames: not a multiple of 64, so the last bitmap word is partial
+  // (and so are the three nodes' ranges in the NUMA round).
+  for (const uint32_t nodes : {1u, 3u}) {
+    PhysicalMemory phys(1000 * kPageSize, nodes);
+    EXPECT_TRUE(phys.FreeBitmapMatchesFrames());
+    std::mt19937_64 rng(17 + nodes);
+    std::vector<FrameNumber> held;
+    for (int step = 0; step < 4000; ++step) {
+      phys.set_preferred_node(static_cast<uint32_t>(rng() % nodes));
+      switch (rng() % 5) {
+        case 0:
+        case 1: {
+          const auto frame = phys.TryAllocFrame(FrameKind::kAnon);
+          if (frame.has_value()) {
+            held.push_back(*frame);
+          }
+          break;
+        }
+        case 2: {
+          const uint32_t count = rng() % 2 == 0 ? 16 : 128;
+          const auto expected = NaiveContiguousPick(phys, count);
+          const auto base =
+              phys.TryAllocContiguousFrames(count, FrameKind::kAnon);
+          ASSERT_EQ(base, expected) << nodes << " nodes, step " << step;
+          if (base.has_value()) {
+            for (uint32_t i = 0; i < count; ++i) {
+              held.push_back(*base + i);
+            }
+          }
+          break;
+        }
+        case 3:
+        case 4: {
+          if (held.empty()) {
+            break;
+          }
+          const size_t pick = rng() % held.size();
+          if (rng() % 8 == 0) {
+            phys.QuarantineFrame(held[pick]);  // quarantined when unreffed
+          }
+          phys.UnrefFrame(held[pick]);
+          held.erase(held.begin() + static_cast<std::ptrdiff_t>(pick));
+          break;
+        }
+      }
+      if (rng() % 16 == 0) {
+        // A free frame quarantined directly leaves the free set too.
+        phys.QuarantineFrame(static_cast<FrameNumber>(1 + rng() % 999));
+      }
+      ASSERT_TRUE(phys.FreeBitmapMatchesFrames())
+          << nodes << " nodes, step " << step;
+    }
+  }
 }
 
 TEST(PageCacheTest, FirstAccessIsHardFault) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+
 #include "src/core/sat.h"
 
 namespace sat {
@@ -37,12 +40,49 @@ TEST(RmapTest, ForEachVisitsAllMappings) {
   rmap.Add(7, 1, 0, 0x40000000);
   rmap.Add(7, 2, 0, 0x40000000);
   uint32_t visited = 0;
-  rmap.ForEach(7, [&](const RmapEntry& entry) {
+  for (const RmapEntry& entry : rmap.MappingsOf(7)) {
     EXPECT_EQ(entry.va, 0x40000000u);
     visited++;
-  });
+  }
   EXPECT_EQ(visited, 2u);
-  rmap.ForEach(99, [&](const RmapEntry&) { FAIL(); });
+  EXPECT_TRUE(rmap.MappingsOf(99).empty());
+}
+
+TEST(RmapTest, HasSiteMatchesExactlyTheNamedSites) {
+  ReverseMap rmap;
+  rmap.Add(7, 1, 3, 0x40003000);
+  rmap.Add(7, 2, 3, 0x40003000);
+  rmap.Add(8, 1, 4, 0x40004000);
+  EXPECT_TRUE(rmap.HasSite(7, 1, 3));
+  EXPECT_TRUE(rmap.HasSite(7, 2, 3));
+  EXPECT_TRUE(rmap.HasSite(8, 1, 4));
+  EXPECT_FALSE(rmap.HasSite(7, 1, 4));  // right PTP, wrong index
+  EXPECT_FALSE(rmap.HasSite(8, 2, 4));  // right index, wrong PTP
+  EXPECT_FALSE(rmap.HasSite(9, 1, 3));  // frame with no entries at all
+  rmap.Remove(7, 1, 3);
+  EXPECT_FALSE(rmap.HasSite(7, 1, 3));
+  EXPECT_TRUE(rmap.HasSite(7, 2, 3));
+}
+
+TEST(RmapTest, ForEachEntryVisitsInFindAtSiteOrder) {
+  ReverseMap rmap;
+  for (FrameNumber frame = 1; frame <= 40; ++frame) {
+    rmap.Add(frame, static_cast<PtpId>(frame % 3), frame % 5, frame << 12);
+  }
+  // The first entry ForEachEntry yields for a site is the one FindAtSite
+  // returns; scrubd's per-pass site table relies on that.
+  std::map<std::pair<PtpId, uint32_t>, FrameNumber> first;
+  uint64_t visited = 0;
+  rmap.ForEachEntry([&](FrameNumber frame, const RmapEntry& entry) {
+    first.try_emplace({entry.ptp, entry.index}, frame);
+    visited++;
+  });
+  EXPECT_EQ(visited, rmap.total_entries());
+  for (const auto& [site, frame] : first) {
+    const auto found = rmap.FindAtSite(site.first, site.second);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->first, frame);
+  }
 }
 
 // ---------------------------------------------------------------------------
