@@ -10,10 +10,12 @@
 // --jobs value. A run exits nonzero if any shard fails, times out, or
 // leaves the kernel audit unclean.
 //
-//   bench_scenario                          # the checked-in suite
+//   bench_scenario                          # every scenarios/*.scn
 //   bench_scenario scenarios/chaos_soak.scn # specific files
 //   bench_scenario --smoke --jobs 2 --json-out results
 
+#include <algorithm>
+#include <filesystem>
 #include <stdexcept>
 
 #include "bench/common.h"
@@ -24,10 +26,20 @@
 
 namespace {
 
-constexpr const char* kDefaultScenarios[] = {
-    "app_server_farm.scn", "phone_fleet_diurnal.scn", "fork_storm_10k.scn",
-    "swap_thrash_ksm.scn", "chaos_soak.scn",
-};
+// Every *.scn file in SAT_SCENARIO_DIR, sorted by name; empty when the
+// directory is missing.
+std::vector<std::string> CheckedInScenarios() {
+  std::vector<std::string> paths;
+  std::error_code error;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(SAT_SCENARIO_DIR, error)) {
+    if (entry.path().extension() == ".scn") {
+      paths.push_back(entry.path().string());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
 
 double TotalFaults(const sat::JobRecord& record) {
   return sat::MetricOr(record, "counters.faults_file_backed") +
@@ -56,8 +68,10 @@ int main(int argc, char** argv) {
     paths.push_back(argv[i]);
   }
   if (paths.empty()) {
-    for (const char* name : kDefaultScenarios) {
-      paths.push_back(std::string(SAT_SCENARIO_DIR) + "/" + name);
+    paths = CheckedInScenarios();
+    if (paths.empty()) {
+      std::cerr << "error: no .scn files in " << SAT_SCENARIO_DIR << "\n";
+      return 2;
     }
   }
 

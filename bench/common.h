@@ -1,7 +1,8 @@
 // Shared helpers for the evaluation harness. Every bench binary reproduces
-// one table or figure of the paper: it runs the experiment on the
-// simulated machine, prints the same rows/series the paper reports, and
-// emits "[shape]" lines comparing against the paper's published values.
+// one experiment of the paper (a table, a figure, or several figures of
+// one run): it runs the experiment on the simulated machine, prints the
+// same rows/series the paper reports, and emits "[shape]" lines comparing
+// against the paper's published values.
 //
 // Absolute cycle counts are not expected to match a 2012 Nexus 7; the
 // shape — who wins, by roughly what factor, where crossovers fall — is the
@@ -35,18 +36,6 @@ inline void PrintHeader(const std::string& id, const std::string& title) {
   std::cout << "==============================================================\n"
             << id << ": " << title << "\n"
             << "==============================================================\n";
-}
-
-// The four kernel/alignment configurations of the launch and steady-state
-// experiments (Figures 7-12), in the paper's order.
-inline std::vector<SystemConfig> LaunchConfigs() {
-  return {ConfigByName("stock"), ConfigByName("shared-ptp-tlb"),
-          ConfigByName("stock-2mb"), ConfigByName("shared-ptp-tlb-2mb")};
-}
-
-inline std::vector<SystemConfig> SteadyStateConfigs() {
-  return {ConfigByName("stock"), ConfigByName("shared-ptp"),
-          ConfigByName("stock-2mb"), ConfigByName("shared-ptp-2mb")};
 }
 
 // Runs one app under one configuration: a fresh booted system, `runs`
@@ -259,11 +248,11 @@ inline double ParseSecondsFlag(const char* flag, const std::string& text) {
   return parsed;
 }
 
-// Parses and REMOVES the harness flags from argv (so flags meant for other
-// consumers — e.g. google-benchmark in bench_pagefault — pass through
-// untouched). The single argument parser every bench binary shares: one
-// flag vocabulary, one validation pass, one error style. Exits 2 with a
-// usage message on a malformed number, an unknown --config or a
+// Parses and REMOVES the harness flags from argv, leaving only positional
+// arguments (bench_scenario's .scn paths). The single argument parser
+// every bench binary shares: one flag vocabulary, one validation pass, one
+// error style. Exits 2 with a usage message on an unknown flag, a flag
+// missing its value, a malformed number, an unknown --config or a
 // --phys-mb/--swap-mb override that makes the config invalid, and with the
 // parser's file:line:column diagnostic on a bad --scenario file.
 inline BenchOptions ParseHarnessArgs(int* argc, char** argv) {
@@ -280,11 +269,15 @@ inline BenchOptions ParseHarnessArgs(int* argc, char** argv) {
         *v = arg.substr(prefix.size());
         return true;
       }
-      if (arg == flag && i + 1 < *argc) {
-        *v = argv[++i];
-        return true;
+      if (arg != flag) {
+        return false;
       }
-      return false;
+      if (i + 1 == *argc) {
+        std::cerr << "error: " << flag << " expects a value\n";
+        std::exit(2);
+      }
+      *v = argv[++i];
+      return true;
     };
     std::string v;
     if (value("--jobs", &v)) {
@@ -310,6 +303,9 @@ inline BenchOptions ParseHarnessArgs(int* argc, char** argv) {
       options.retries = ParseUnsignedFlag<uint32_t>("--retries", v);
     } else if (value("--scenario", &v)) {
       options.scenario = v;
+    } else if (arg.rfind('-', 0) == 0) {
+      std::cerr << "error: unknown flag '" << arg << "'\n";
+      std::exit(2);
     } else {
       argv[out++] = argv[i];
     }

@@ -84,8 +84,10 @@ if [ -n "$GOLDEN" ]; then
   # written here must match its ci/bench-baseline counterpart exactly.
   rm -rf results
   mkdir -p results/scenarios
+  # bench_scenario runs once, below, into results/scenarios/.
   # shellcheck disable=SC2086  # JOBS is a deliberate word list
   for b in build/bench/bench_*; do
+    [ "$b" = build/bench/bench_scenario ] && continue
     echo "== $b =="
     "$b" --smoke $JOBS --json-out results
   done

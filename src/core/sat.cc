@@ -62,8 +62,6 @@ std::string NamedConfigKeyList() {
 }
 
 System::System(const SystemConfig& config)
-    : config_(config), name_(config.Name()) {
-  zygote_system_ = std::make_unique<ZygoteSystem>(config);
-}
+    : zygote_system_(std::make_unique<ZygoteSystem>(config)) {}
 
 }  // namespace sat

@@ -71,8 +71,10 @@ class System {
  public:
   explicit System(const SystemConfig& config);
 
-  const SystemConfig& config() const { return config_; }
-  const std::string& name() const { return name_; }
+  const SystemConfig& config() const {
+    return zygote_system_->kernel().config();
+  }
+  std::string name() const { return config().Name(); }
 
   ZygoteSystem& android() { return *zygote_system_; }
   Kernel& kernel() { return zygote_system_->kernel(); }
@@ -82,8 +84,6 @@ class System {
   Tracer& tracer() { return kernel().tracer(); }
 
  private:
-  SystemConfig config_;
-  std::string name_;
   std::unique_ptr<ZygoteSystem> zygote_system_;
 };
 

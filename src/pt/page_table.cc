@@ -316,7 +316,8 @@ uint32_t PageTable::ShareSlotInto(PageTable& child, uint32_t slot,
     entry.need_copy = true;
   }
   alloc_->AddSharer(entry.ptp);
-  child.l1_[slot] = L1Entry{entry.ptp, entry.domain, /*need_copy=*/true};
+  child.l1_[slot] = L1Entry{entry.ptp, entry.domain, /*need_copy=*/true,
+                            /*section=*/{}};
   counters_->ptps_shared++;
   Tracer::Emit(tracer_, TraceEventType::kShareSlot, 0, slot, protected_count);
   return protected_count;
@@ -452,7 +453,7 @@ std::optional<uint32_t> PageTable::TryUnshareSlot(
   SAT_CHECK(!destroyed && "sharer count said >1");
   (void)destroyed;
 
-  entry = L1Entry{fresh_id, domain, /*need_copy=*/false};
+  entry = L1Entry{fresh_id, domain, /*need_copy=*/false, /*section=*/{}};
   entry.section[0] = section0;
   entry.section[1] = section1;
   span.set_args(slot, copied);

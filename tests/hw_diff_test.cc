@@ -187,8 +187,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(CacheCase{32 * 1024, 4}, CacheCase{1024 * 1024, 16},
                       CacheCase{4096, 2}),
     [](const ::testing::TestParamInfo<CacheCase>& param_info) {
-      return "s" + std::to_string(param_info.param.size) + "w" +
-             std::to_string(param_info.param.ways);
+      return std::string("s")
+                 .append(std::to_string(param_info.param.size))
+                 .append("w")
+                 .append(std::to_string(param_info.param.ways));
     });
 
 // A renormalisation mid-stream must keep the set's LRU order: fill one
@@ -301,8 +303,10 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, MainTlbDiffTest,
     ::testing::Values(TlbCase{128, 4}, TlbCase{256, 2}, TlbCase{512, 4}),
     [](const ::testing::TestParamInfo<TlbCase>& param_info) {
-      return "e" + std::to_string(param_info.param.entries) + "w" +
-             std::to_string(param_info.param.ways);
+      return std::string("e")
+                 .append(std::to_string(param_info.param.entries))
+                 .append("w")
+                 .append(std::to_string(param_info.param.ways));
     });
 
 // A chaos flip can move a 4 KB entry out of its home set. It then sits in
@@ -392,7 +396,8 @@ TEST_P(MicroTlbDiffTest, MatchesReferenceOnMixedOps) {
 INSTANTIATE_TEST_SUITE_P(Sizes, MicroTlbDiffTest,
                          ::testing::Values(4u, 32u, 64u),
                          [](const ::testing::TestParamInfo<uint32_t>& param_info) {
-                           return "n" + std::to_string(param_info.param);
+                           return std::string("n").append(
+                               std::to_string(param_info.param));
                          });
 
 }  // namespace

@@ -233,7 +233,7 @@ TEST(KernelTest, AsidRolloverSkipsLiveTasks) {
   // 300 short-lived tasks push the 8-bit ASID space around the horn
   // while `keeper` stays alive holding the first ASID.
   for (int i = 0; i < 300; ++i) {
-    Task* t = kernel.CreateTask("t" + std::to_string(i));
+    Task* t = kernel.CreateTask(std::string("t").append(std::to_string(i)));
     ASSERT_NE(t->asid, kept) << "live ASID reissued at iteration " << i;
     ASSERT_NE(t->asid, 0);
     kernel.Exit(*t);

@@ -330,8 +330,10 @@ INSTANTIATE_TEST_SUITE_P(
                       TlbGeometry{128, 2}, TlbGeometry{128, 4},
                       TlbGeometry{256, 2}, TlbGeometry{512, 4}),
     [](const ::testing::TestParamInfo<TlbGeometry>& param_info) {
-      return "e" + std::to_string(param_info.param.entries) + "w" +
-             std::to_string(param_info.param.ways);
+      return std::string("e")
+                 .append(std::to_string(param_info.param.entries))
+                 .append("w")
+                 .append(std::to_string(param_info.param.ways));
     });
 
 // ---------------------------------------------------------------------------
@@ -407,8 +409,10 @@ INSTANTIATE_TEST_SUITE_P(
                       TlbGeometry{64, 2}, TlbGeometry{128, 4},
                       TlbGeometry{256, 2}),
     [](const ::testing::TestParamInfo<TlbGeometry>& param_info) {
-      return "e" + std::to_string(param_info.param.entries) + "w" +
-             std::to_string(param_info.param.ways);
+      return std::string("e")
+                 .append(std::to_string(param_info.param.entries))
+                 .append("w")
+                 .append(std::to_string(param_info.param.ways));
     });
 
 // ---------------------------------------------------------------------------
@@ -444,8 +448,10 @@ INSTANTIATE_TEST_SUITE_P(
                       CacheGeometry{32768, 4}, CacheGeometry{65536, 8},
                       CacheGeometry{1048576, 16}),
     [](const ::testing::TestParamInfo<CacheGeometry>& param_info) {
-      return "s" + std::to_string(param_info.param.size) + "w" +
-             std::to_string(param_info.param.ways);
+      return std::string("s")
+                 .append(std::to_string(param_info.param.size))
+                 .append("w")
+                 .append(std::to_string(param_info.param.ways));
     });
 
 // ---------------------------------------------------------------------------
@@ -579,7 +585,8 @@ TEST_P(ForkChainTest, SharerCountsMatchChainDepth) {
 
   std::vector<Task*> chain = {zygote};
   for (int i = 0; i < depth; ++i) {
-    chain.push_back(kernel.Fork(*chain.back(), "c" + std::to_string(i)).child);
+    const std::string name = std::string("c").append(std::to_string(i));
+    chain.push_back(kernel.Fork(*chain.back(), name).child);
   }
   const PtpId shared = zygote->mm->page_table().l1(PtpSlotIndex(0x40000000)).ptp;
   EXPECT_EQ(kernel.ptp_allocator().SharerCount(shared),

@@ -511,6 +511,39 @@ TEST(HarnessScenarioTest, MalformedNumericFlagsAreUsageErrors) {
               ::testing::ExitedWithCode(2), "--retries expects");
 }
 
+TEST(HarnessScenarioTest, UnknownFlagsAreUsageErrors) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(ParseOneHarnessFlag("--smok"), ::testing::ExitedWithCode(2),
+              "unknown flag '--smok'");
+  EXPECT_EXIT(ParseOneHarnessFlag("--smoke=1"), ::testing::ExitedWithCode(2),
+              "unknown flag '--smoke=1'");
+  EXPECT_EXIT(ParseOneHarnessFlag("-j"), ::testing::ExitedWithCode(2),
+              "unknown flag '-j'");
+  EXPECT_EXIT(ParseOneHarnessFlag("--benchmark_filter=all"),
+              ::testing::ExitedWithCode(2), "unknown flag");
+  // A value flag in last place has no value to take.
+  EXPECT_EXIT(ParseOneHarnessFlag("--jobs"), ::testing::ExitedWithCode(2),
+              "--jobs expects a value");
+  EXPECT_EXIT(ParseOneHarnessFlag("--config"), ::testing::ExitedWithCode(2),
+              "--config expects a value");
+}
+
+TEST(HarnessScenarioTest, PositionalArgumentsPassThrough) {
+  std::string args[] = {"--smoke", "scenarios/a.scn", "--jobs", "2", "b.scn"};
+  char prog[] = "scenario_test";
+  char* argv[] = {prog,           args[0].data(), args[1].data(),
+                  args[2].data(), args[3].data(), args[4].data(),
+                  nullptr};
+  int argc = 6;
+  const BenchOptions options = ParseHarnessArgs(&argc, argv);
+  EXPECT_TRUE(options.smoke);
+  EXPECT_EQ(options.jobs, 2u);
+  ASSERT_EQ(argc, 3);
+  EXPECT_STREQ(argv[1], "scenarios/a.scn");
+  EXPECT_STREQ(argv[2], "b.scn");
+  EXPECT_EQ(argv[3], nullptr);
+}
+
 TEST(HarnessScenarioTest, WellFormedNumericFlagsParse) {
   std::string flags[] = {"--jobs=3",       "--seed=18446744073709551615",
                          "--phys-mb=256",  "--swap-mb=64",
