@@ -8,7 +8,8 @@
 #   ./run_all.sh --chaos         ASan build + the chaos suite only: audit
 #                                fuzz under bit-flip + allocation-failure
 #                                injection, and the oops/quarantine death
-#                                tests (graceful degradation end to end)
+#                                tests (graceful degradation end to end),
+#                                and the rmap model and kernel tests
 #   ./run_all.sh --huge          the translation-reach suite only: huged
 #                                collapse/split tests, the huge audit-fuzz
 #                                cases, and the promotion-policy bench
@@ -44,7 +45,7 @@ while [ $# -gt 0 ]; do
       cmake -B build-asan -G Ninja -DSAT_SANITIZE=ASAN
       cmake --build build-asan
       ctest --test-dir build-asan --output-on-failure \
-        -R '_chaos|OopsRecovery|InvariantDeath|Watchdog|ScrubRepairsRottenLargeReplica|ScrubSweepVotesRottenWords|ScrubTest'
+        -R '_chaos|OopsRecovery|InvariantDeath|Watchdog|ScrubRepairsRottenLargeReplica|ScrubSweepVotesRottenWords|ScrubTest|RmapTest|RmapKernelTest'
       exit 0
       ;;
     --huge)

@@ -138,6 +138,11 @@ std::optional<FrameNumber> PhysicalMemory::TryAllocContiguousFrames(
       injector_->ShouldFail(AllocSite::kContiguous)) {
     return std::nullopt;
   }
+  if (failed_count_ != 0 && failed_at_frees_ == frees_ &&
+      count >= failed_count_) {
+    return std::nullopt;  // nothing freed since a search this size failed
+  }
+  contiguous_scans_++;
   const auto claim_run = [this, count, kind](FrameNumber base) {
     for (uint32_t i = 0; i < count; ++i) {
       PageFrame& f = frames_[base + i];
@@ -181,6 +186,11 @@ std::optional<FrameNumber> PhysicalMemory::TryAllocContiguousFrames(
   const std::optional<FrameNumber> run =
       FirstFreeRun(count, frames_.size(), count);
   if (!run.has_value()) {
+    if (failed_count_ == 0 || failed_at_frees_ != frees_ ||
+        count < failed_count_) {
+      failed_count_ = count;
+      failed_at_frees_ = frees_;
+    }
     return std::nullopt;
   }
   if (num_nodes_ > 1 &&
@@ -280,6 +290,7 @@ bool PhysicalMemory::UnrefFrame(FrameNumber number) {
     }
     free_count_++;
     free_count_per_node_[NodeOfFrame(number)]++;
+    frees_++;
   }
   for (FrameLifecycleObserver* observer : observers_) {
     observer->OnFrameFreed(number, freed_kind);

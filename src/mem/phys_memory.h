@@ -198,6 +198,11 @@ class PhysicalMemory {
   // Contiguous runs handed out straddling a node boundary.
   uint64_t numa_cross_node_runs() const { return numa_cross_node_runs_; }
 
+  // Frames returned to the free pool so far, and the bitmap searches
+  // TryAllocContiguousFrames has run (for tests of its failure memo).
+  uint64_t frames_freed() const { return frees_; }
+  uint64_t contiguous_scans() const { return contiguous_scans_; }
+
   // Number of live frames of a given kind (O(n); for tests and reports).
   uint64_t CountFrames(FrameKind kind) const;
 
@@ -247,6 +252,15 @@ class PhysicalMemory {
   std::vector<uint64_t> free_count_per_node_;
   uint64_t numa_fallbacks_ = 0;
   uint64_t numa_cross_node_runs_ = 0;
+  uint64_t frees_ = 0;
+  uint64_t contiguous_scans_ = 0;
+  // The smallest count whose global contiguous search failed while
+  // frees_ read failed_at_frees_ (0: none). Allocation only removes free
+  // frames, so until the next free that count, and every larger one
+  // (an aligned run of 2n free frames starts with an aligned run of n),
+  // would fail again.
+  uint32_t failed_count_ = 0;
+  uint64_t failed_at_frees_ = 0;
   uint64_t quarantined_count_ = 0;
   uint32_t num_nodes_ = 1;
   uint64_t frames_per_node_ = 0;

@@ -470,9 +470,11 @@ void PageTable::ReleaseSlot(uint32_t slot) {
     // Last sharer: release every mapped frame and swap slot, then the PTP
     // itself. Resync the present count first and release the swap slot even
     // when the hardware half claims to be valid — flipped validity bits
-    // must not trip Clear's bookkeeping or leak a slot reference.
+    // must not trip Clear's bookkeeping or leak a slot reference. Entries
+    // whose two words are both zero hold nothing and are skipped.
     ptp.RecountPresentForScrub();
-    for (uint32_t i = 0; i < kPtesPerPtp; ++i) {
+    for (uint32_t i = ptp.NextUsed(0, kPtesPerPtp); i < kPtesPerPtp;
+         i = ptp.NextUsed(i + 1, kPtesPerPtp)) {
       const LinuxPte old_sw = ptp.sw(i);
       if (ptp.hw(i).valid()) {
         DropFrame(ptp.hw(i), entry.ptp, i);

@@ -61,6 +61,33 @@ class PageTablePage {
   // Number of valid hardware entries, maintained by Set/Clear.
   uint32_t present_count() const { return present_count_; }
 
+  // The first index in [from, to) whose hardware or software word is not
+  // all zero, or `to`. An all-zero pair is an entry no one ever filled or
+  // one cleared since — invalid and not a swap entry — so whole-range
+  // walks (fork's copy, teardown) skip those eight at a time.
+  uint32_t NextUsed(uint32_t from, uint32_t to) const {
+    for (; from < to && from % 8 != 0; ++from) {
+      if ((hw_[from].raw() | sw_[from].raw()) != 0) {
+        return from;
+      }
+    }
+    for (; from + 8 <= to; from += 8) {
+      uint32_t any = 0;
+      for (uint32_t i = from; i < from + 8; ++i) {
+        any |= hw_[i].raw() | sw_[i].raw();
+      }
+      if (any != 0) {
+        break;
+      }
+    }
+    for (; from < to; ++from) {
+      if ((hw_[from].raw() | sw_[from].raw()) != 0) {
+        return from;
+      }
+    }
+    return to;
+  }
+
   // Installs (or replaces) the entry at `index`.
   void Set(uint32_t index, HwPte hw_pte, LinuxPte sw_pte);
 

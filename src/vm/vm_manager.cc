@@ -610,38 +610,50 @@ ForkResult VmManager::Fork(MmStruct& parent, MmStruct& child,
     // and COW-dirtied pages must be copied.
     SAT_CHECK(!ppt.l1(slot).need_copy &&
               "a previously shared slot became unsharable without an unshare");
+    // Walk the parent PTP's index range for each VMA directly: the slot's
+    // PTP is fixed for the whole walk (fork only downgrades its entries).
+    const PageTablePage& pptp = ppt.allocator().Get(ppt.l1(slot).ptp);
     const VirtAddr base = PtpSlotBase(slot);
+    // The child's PTP for this slot, allocated at its first copied entry.
+    bool child_ptp = false;
+    const auto ensure_child_ptp = [&](VirtAddr va) {
+      child_ptp = child_ptp ||
+                  cpt.TryEnsurePtp(va, child.user_domain()) != nullptr;
+      return child_ptp;
+    };
     for (size_t v = 0; v < vmas.size() && result.ok; ++v) {
       const VmArea* vma = vmas[v];
-      const VirtAddr lo = std::max(vma->start, base);
-      const VirtAddr hi = static_cast<VirtAddr>(
-          std::min<uint64_t>(vma->end, static_cast<uint64_t>(base) + kPtpSpan));
+      const uint64_t lo = std::max(vma->start, base);
+      const uint64_t hi =
+          std::min<uint64_t>(vma->end, static_cast<uint64_t>(base) + kPtpSpan);
       const bool copy_file_ptes = config_.copy_zygote_code_ptes_at_fork &&
                                   vma->zygote_preloaded && vma->prot.execute;
-      for (uint64_t va64 = lo; va64 < hi; va64 += kPageSize) {
-        const auto va = static_cast<VirtAddr>(va64);
-        const auto ref = ppt.FindPte(va);
-        if (!ref || !ref->ptp->hw(ref->index).valid()) {
+      const auto first = static_cast<uint32_t>((lo - base) / kPageSize);
+      const auto last = static_cast<uint32_t>((hi - base) / kPageSize);
+      for (uint32_t i = pptp.NextUsed(first, last); i < last;
+           i = pptp.NextUsed(i + 1, last)) {
+        const auto va = static_cast<VirtAddr>(base + i * kPageSize);
+        const HwPte parent_hw = pptp.hw(i);
+        const LinuxPte parent_sw = pptp.sw(i);
+        if (!parent_hw.valid()) {
           // A swapped-out page is inherited as a swap PTE: the child gets
           // its own slot reference and faults the page in on demand.
-          if (ref && ref->ptp->sw(ref->index).is_swap()) {
-            if (cpt.TryEnsurePtp(va, child.user_domain()) == nullptr) {
+          if (parent_sw.is_swap()) {
+            if (!ensure_child_ptp(va)) {
               result.ok = false;
               break;
             }
-            cpt.SetPte(va, HwPte{}, ref->ptp->sw(ref->index));
+            cpt.SetPte(va, HwPte{}, parent_sw);
             result.ptes_copied++;
             counters_->ptes_copied++;
             result.cycles += costs_->fork_per_pte_copy;
           }
           continue;
         }
-        const HwPte parent_hw = ref->ptp->hw(ref->index);
-        const LinuxPte parent_sw = ref->ptp->sw(ref->index);
         // A rotted parent PTE must not be propagated into the child (nor
         // fed to frame(), which trusts its argument).
         SAT_OOPS_CHECK(parent_hw.frame() < phys_->total_frames(),
-                       (OopsDamage{OopsDamage::Kind::kPtp, ref->ptp->id()}));
+                       (OopsDamage{OopsDamage::Kind::kPtp, pptp.id()}));
         const FrameKind frame_kind = phys_->frame(parent_hw.frame()).kind;
         const bool anon_frame =
             frame_kind == FrameKind::kAnon || frame_kind == FrameKind::kZero;
@@ -652,7 +664,7 @@ ForkResult VmManager::Fork(MmStruct& parent, MmStruct& child,
         // Allocate the child's PTP before downgrading anything in the
         // parent, so an ENOMEM fork leaves the parent untouched apart
         // from already-downgraded (still correct, COW-safe) mappings.
-        if (cpt.TryEnsurePtp(va, child.user_domain()) == nullptr) {
+        if (!ensure_child_ptp(va)) {
           result.ok = false;
           break;
         }

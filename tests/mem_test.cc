@@ -7,6 +7,7 @@
 #include <random>
 #include <vector>
 
+#include "src/mem/fault_injector.h"
 #include "src/mem/page_cache.h"
 #include "src/mem/phys_memory.h"
 
@@ -162,6 +163,52 @@ TEST(PhysMemoryTest, FreeBitmapTracksEveryKindChange) {
           << nodes << " nodes, step " << step;
     }
   }
+}
+
+TEST(PhysMemoryTest, FailedContiguousSearchIsNotRepeatedUntilAFree) {
+  PhysicalMemory phys(256 * kPageSize);
+  FaultInjector injector(1);
+  phys.set_fault_injector(&injector);
+  std::vector<FrameNumber> frames;
+  while (phys.free_frames() > 0) {
+    frames.push_back(phys.AllocFrame(FrameKind::kAnon));
+  }
+  // Free every other frame: 127 free frames, no two of them adjacent.
+  for (const FrameNumber frame : frames) {
+    if (frame % 2 == 1) {
+      phys.UnrefFrame(frame);
+    }
+  }
+  const uint64_t freed = phys.frames_freed();
+  EXPECT_FALSE(phys.TryAllocContiguousFrames(16, FrameKind::kAnon));
+  EXPECT_EQ(phys.contiguous_scans(), 1u);
+
+  // Nothing freed since: the same count, and any larger one, fails
+  // without a scan. The fault injector still sees every attempt first.
+  EXPECT_FALSE(phys.TryAllocContiguousFrames(16, FrameKind::kAnon));
+  EXPECT_FALSE(phys.TryAllocContiguousFrames(64, FrameKind::kAnon));
+  EXPECT_EQ(phys.contiguous_scans(), 1u);
+  EXPECT_EQ(injector.attempts(AllocSite::kContiguous), 3u);
+
+  // A smaller count is a different question: it scans (and fails too).
+  EXPECT_FALSE(phys.TryAllocContiguousFrames(2, FrameKind::kAnon));
+  EXPECT_EQ(phys.contiguous_scans(), 2u);
+  EXPECT_FALSE(phys.TryAllocContiguousFrames(16, FrameKind::kAnon));
+  EXPECT_EQ(phys.contiguous_scans(), 2u);
+
+  // Allocating takes nothing back; freeing does, and the next search
+  // scans again. Frames 16..31 all free make the first 16-run.
+  ASSERT_TRUE(phys.TryAllocFrame(FrameKind::kAnon).has_value());
+  EXPECT_FALSE(phys.TryAllocContiguousFrames(16, FrameKind::kAnon));
+  EXPECT_EQ(phys.contiguous_scans(), 2u);
+  for (FrameNumber frame = 16; frame < 32; frame += 2) {
+    phys.UnrefFrame(frame);
+  }
+  EXPECT_GT(phys.frames_freed(), freed);
+  EXPECT_EQ(phys.TryAllocContiguousFrames(16, FrameKind::kAnon),
+            std::optional<FrameNumber>(16));
+  EXPECT_EQ(phys.contiguous_scans(), 3u);
+  phys.set_fault_injector(nullptr);
 }
 
 TEST(PageCacheTest, FirstAccessIsHardFault) {

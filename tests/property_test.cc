@@ -15,6 +15,7 @@
 
 #include <map>
 #include <random>
+#include <type_traits>
 
 #include "src/core/sat.h"
 
@@ -25,13 +26,18 @@ namespace {
 // Randomized kernel-op fuzzing.
 // ---------------------------------------------------------------------------
 
+// gtest names each case in the ctest listing by printing its bytes, so
+// the struct has no padding: `ops` fills the four bytes after the flags.
 struct FuzzCase {
   uint64_t seed;
   bool share_ptps;
   bool hw_l1_wp;
   bool lazy_unshare;
   bool ref_only_unshare;
+  uint32_t ops = 600;  // kernel operations per case
 };
+static_assert(std::has_unique_object_representations_v<FuzzCase>,
+              "FuzzCase must have no padding bytes");
 
 class KernelFuzzTest : public ::testing::TestWithParam<FuzzCase> {};
 
@@ -53,7 +59,7 @@ TEST_P(KernelFuzzTest, RandomOpsPreserveResourceBalance) {
 
   const uint64_t frames_baseline = kernel.phys().used_frames();
 
-  for (int op = 0; op < 600; ++op) {
+  for (uint32_t op = 0; op < fuzz.ops; ++op) {
     Task* task = live[rng() % live.size()];
     switch (rng() % 10) {
       case 0:

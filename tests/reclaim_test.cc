@@ -4,10 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <random>
+#include <tuple>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "src/core/sat.h"
+#include "tests/rmap_oracle.h"
 
 namespace sat {
 namespace {
@@ -83,6 +89,182 @@ TEST(RmapTest, ForEachEntryVisitsInFindAtSiteOrder) {
     ASSERT_TRUE(found.has_value());
     EXPECT_EQ(found->first, frame);
   }
+}
+
+// The reverse map as it was kept before the frame-indexed layout: one
+// insertion-ordered vector per frame in a hash map. The model test below
+// holds ReverseMap to exactly these semantics.
+class ReferenceRmap {
+ public:
+  void Add(FrameNumber frame, PtpId ptp, uint32_t index, VirtAddr va) {
+    map_[frame].push_back(RmapEntry{ptp, static_cast<uint16_t>(index), va});
+    total_++;
+  }
+
+  bool Remove(FrameNumber frame, PtpId ptp, uint32_t index) {
+    const auto it = map_.find(frame);
+    if (it == map_.end()) {
+      return false;
+    }
+    auto& entries = it->second;
+    const auto match = std::find_if(
+        entries.begin(), entries.end(), [&](const RmapEntry& entry) {
+          return entry.ptp == ptp && entry.index == index;
+        });
+    if (match == entries.end()) {
+      return false;
+    }
+    entries.erase(match);
+    total_--;
+    if (entries.empty()) {
+      map_.erase(it);
+    }
+    return true;
+  }
+
+  std::vector<RmapEntry> MappingsOf(FrameNumber frame) const {
+    const auto it = map_.find(frame);
+    return it == map_.end() ? std::vector<RmapEntry>{} : it->second;
+  }
+
+  bool HasSite(FrameNumber frame, PtpId ptp, uint32_t index) const {
+    for (const RmapEntry& entry : MappingsOf(frame)) {
+      if (entry.ptp == ptp && entry.index == index) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Every (frame, entry) pair, sorted: the multiset ForEachEntry visits.
+  std::vector<std::tuple<FrameNumber, PtpId, uint16_t, VirtAddr>> All() const {
+    std::vector<std::tuple<FrameNumber, PtpId, uint16_t, VirtAddr>> all;
+    for (const auto& [frame, entries] : map_) {
+      for (const RmapEntry& entry : entries) {
+        all.emplace_back(frame, entry.ptp, entry.index, entry.va);
+      }
+    }
+    std::sort(all.begin(), all.end());
+    return all;
+  }
+
+  uint64_t total() const { return total_; }
+
+ private:
+  std::unordered_map<FrameNumber, std::vector<RmapEntry>> map_;
+  uint64_t total_ = 0;
+};
+
+TEST(RmapTest, RandomOperationsMatchTheReferenceModel) {
+  constexpr FrameNumber kFrames = 12;
+  constexpr FrameNumber kHot = 5;  // crosses the key-array threshold
+  constexpr PtpId kPtps = 64;
+  constexpr uint32_t kIndices = 16;
+  std::mt19937_64 rng(20161018);
+  ReverseMap rmap;
+  ReferenceRmap model;
+  const auto va_of = [](PtpId ptp, uint32_t index) {
+    return (static_cast<VirtAddr>(ptp) << 21) | (index << 12);
+  };
+  const auto random_site = [&] {
+    return std::make_pair(static_cast<PtpId>(rng() % kPtps),
+                          static_cast<uint32_t>(rng() % kIndices));
+  };
+  // Picks an existing entry of `frame` uniformly (the reference's view).
+  const auto existing_site = [&](FrameNumber frame) {
+    const std::vector<RmapEntry> entries = model.MappingsOf(frame);
+    const RmapEntry& entry = entries[rng() % entries.size()];
+    return std::make_pair(entry.ptp, static_cast<uint32_t>(entry.index));
+  };
+
+  uint32_t hot_peak = 0;
+  uint32_t crossings_up = 0;
+  uint32_t crossings_down = 0;
+  bool above = false;
+  for (int step = 0; step < 16000; ++step) {
+    // Four phases of 4000 steps: the hot frame fills past kKeyedAbove,
+    // drains below kUnkeyedBelow, then does both again.
+    const bool filling = (step / 4000) % 2 == 0;
+    const uint64_t op = rng() % 100;
+    const FrameNumber frame =
+        rng() % 2 == 0 ? kHot : static_cast<FrameNumber>(rng() % kFrames);
+    if (op < (frame != kHot ? 40u : filling ? 55u : 20u)) {
+      const auto [ptp, index] = random_site();
+      rmap.Add(frame, ptp, index, va_of(ptp, index));
+      model.Add(frame, ptp, index, va_of(ptp, index));
+    } else if (op < 85 && model.MappingsOf(frame).size() > 0) {
+      // Remove a present entry — from anywhere in the frame's list.
+      const auto [ptp, index] = existing_site(frame);
+      ASSERT_TRUE(rmap.Remove(frame, ptp, index)) << "step " << step;
+      ASSERT_TRUE(model.Remove(frame, ptp, index));
+    } else if (op < 90 && model.MappingsOf(frame).size() > 0) {
+      // SetPte's order: the site's new frame is added before the old
+      // frame's entry goes, so for a moment two frames name it.
+      const auto [ptp, index] = existing_site(frame);
+      const auto other = static_cast<FrameNumber>((frame + 1) % kFrames);
+      rmap.Add(other, ptp, index, va_of(ptp, index));
+      model.Add(other, ptp, index, va_of(ptp, index));
+      ASSERT_EQ(rmap.Remove(frame, ptp, index),
+                model.Remove(frame, ptp, index));
+    } else if (op < 95) {
+      // A removal that may name an absent site or the wrong frame.
+      const auto [ptp, index] = random_site();
+      const bool expected = model.Remove(frame, ptp, index);
+      ASSERT_EQ(rmap.Remove(frame, ptp, index), expected) << "step " << step;
+    } else if (model.MappingsOf(frame).size() > 0) {
+      // A present site asked of another frame: wrong-frame removal.
+      const auto [ptp, index] = existing_site(frame);
+      const auto other = static_cast<FrameNumber>((frame + 3) % kFrames);
+      ASSERT_EQ(rmap.Remove(other, ptp, index),
+                model.Remove(other, ptp, index));
+    }
+
+    ASSERT_EQ(rmap.total_entries(), model.total()) << "step " << step;
+    for (FrameNumber f = 0; f <= kFrames; ++f) {
+      ASSERT_EQ(rmap.MapCount(f), model.MappingsOf(f).size());
+      ASSERT_EQ(rmap.MappingsOf(f), model.MappingsOf(f))
+          << "frame " << f << " step " << step;
+    }
+    for (int probe = 0; probe < 4; ++probe) {
+      const auto f = static_cast<FrameNumber>(rng() % kFrames);
+      const auto [ptp, index] = random_site();
+      ASSERT_EQ(rmap.HasSite(f, ptp, index), model.HasSite(f, ptp, index));
+    }
+
+    std::vector<std::tuple<FrameNumber, PtpId, uint16_t, VirtAddr>> seen;
+    rmap.ForEachEntry([&](FrameNumber f, const RmapEntry& entry) {
+      seen.emplace_back(f, entry.ptp, entry.index, entry.va);
+    });
+    std::sort(seen.begin(), seen.end());
+    const auto all = model.All();
+    ASSERT_EQ(seen, all) << "step " << step;
+    // FindAtSite for sites that exactly one entry names.
+    for (int probe = 0; probe < 8 && !all.empty(); ++probe) {
+      const auto& [f, ptp, index, va] = all[rng() % all.size()];
+      const auto same_site = [&](const auto& other) {
+        return std::get<1>(other) == ptp && std::get<2>(other) == index;
+      };
+      if (std::count_if(all.begin(), all.end(), same_site) != 1) {
+        continue;
+      }
+      const auto found = rmap.FindAtSite(ptp, index);
+      ASSERT_TRUE(found.has_value());
+      ASSERT_EQ(*found, std::make_pair(f, va)) << "step " << step;
+    }
+
+    const uint32_t hot = rmap.MapCount(kHot);
+    hot_peak = std::max(hot_peak, hot);
+    if (!above && hot > ReverseMap::kKeyedAbove) {
+      above = true;
+      crossings_up++;
+    } else if (above && hot < ReverseMap::kUnkeyedBelow) {
+      above = false;
+      crossings_down++;
+    }
+  }
+  EXPECT_GT(hot_peak, ReverseMap::kKeyedAbove);
+  EXPECT_EQ(crossings_up, 2u);
+  EXPECT_EQ(crossings_down, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -236,6 +418,100 @@ TEST_F(ReclaimTest, ReclaimThenFullRunStaysBalanced) {
   const AppRunStats stats = runner.Run(fp, /*exit_after=*/true);
   EXPECT_GT(stats.file_faults, 0u);
   EXPECT_EQ(kernel().phys().CountFrames(FrameKind::kAnon) > 0, true);
+}
+
+// ---------------------------------------------------------------------------
+// The rmap of a many-mapper frame under stock fork and exit.
+// ---------------------------------------------------------------------------
+
+enum class ExitOrder { kFifo, kLifo, kRandom };
+
+// A stock zygote maps a private file page; each child, forked from it,
+// faults the inherited mapping in and maps the page once more of its
+// own, so the frame has 1 + 2N rmap entries — above the key-array
+// threshold (live tasks are capped at 255 ASIDs, so one mapping per
+// child could not get there). Children then exit in `order`. After
+// every exit the frame's mappings must be the zygote's entry and then
+// each survivor's two, in fork order, with the auditor and the rmap
+// site oracle clean.
+void ExpectSurvivorsInForkOrder(ExitOrder order) {
+  constexpr uint32_t kChildren = 160;
+  constexpr FileId kFile = 515151;
+  System system(ConfigByName("stock"));
+  Kernel& kernel = system.kernel();
+  MmapRequest request;
+  request.length = kPageSize;
+  request.prot = VmProt::ReadOnly();
+  request.kind = VmKind::kFilePrivate;
+  request.file = kFile;
+  Task& zygote = *system.android().zygote();
+  const auto shared = kernel.Mmap(zygote, request);
+  ASSERT_TRUE(shared.ok());
+  ASSERT_EQ(kernel.TouchPageStatus(zygote, shared.value, AccessType::kRead),
+            TouchStatus::kOk);
+  const FrameNumber frame = kernel.page_cache().Lookup(kFile, 0);
+  ASSERT_NE(frame, PageCache::kNoFrame);
+
+  const auto entry_at = [](Task& task, VirtAddr va) {
+    const auto ref = task.mm->page_table().FindPte(va);
+    return RmapEntry{ref->ptp->id(), static_cast<uint16_t>(ref->index), va};
+  };
+  struct Child {
+    Task* task;
+    VirtAddr own;  // the child's second mapping of the page
+  };
+  std::vector<Child> children;
+  for (uint32_t i = 0; i < kChildren; ++i) {
+    Task* task = system.android().ForkApp("app" + std::to_string(i));
+    ASSERT_NE(task, nullptr);
+    ASSERT_EQ(kernel.TouchPageStatus(*task, shared.value, AccessType::kRead),
+              TouchStatus::kOk);
+    const auto own = kernel.Mmap(*task, request);
+    ASSERT_TRUE(own.ok());
+    ASSERT_EQ(kernel.TouchPageStatus(*task, own.value, AccessType::kRead),
+              TouchStatus::kOk);
+    children.push_back({task, own.value});
+  }
+  ASSERT_EQ(kernel.rmap().MapCount(frame), 1 + 2 * kChildren);
+  ASSERT_GT(kernel.rmap().MapCount(frame), ReverseMap::kKeyedAbove);
+
+  std::vector<size_t> exits(kChildren);
+  for (size_t i = 0; i < kChildren; ++i) {
+    exits[i] = order == ExitOrder::kLifo ? kChildren - 1 - i : i;
+  }
+  if (order == ExitOrder::kRandom) {
+    std::shuffle(exits.begin(), exits.end(), std::mt19937_64(7));
+  }
+  std::vector<bool> alive(kChildren, true);
+  for (const size_t victim : exits) {
+    kernel.Exit(*children[victim].task);
+    alive[victim] = false;
+    std::vector<RmapEntry> expected = {entry_at(zygote, shared.value)};
+    for (size_t i = 0; i < kChildren; ++i) {
+      if (alive[i]) {
+        expected.push_back(entry_at(*children[i].task, shared.value));
+        expected.push_back(entry_at(*children[i].task, children[i].own));
+      }
+    }
+    ASSERT_EQ(kernel.rmap().MappingsOf(frame), expected)
+        << "after child " << victim << " exited";
+    const AuditReport report = kernel.AuditInvariants();
+    ASSERT_TRUE(report.ok()) << report.ToString();
+    ASSERT_EQ(RmapSiteViolation(kernel.rmap(), kernel.ptp_allocator()), "");
+  }
+  EXPECT_EQ(kernel.rmap().MapCount(frame), 1u);
+}
+
+TEST(RmapKernelTest, ManyMapperFrameKeepsForkOrderUnderFifoExits) {
+  ExpectSurvivorsInForkOrder(ExitOrder::kFifo);
+}
+
+TEST(RmapKernelTest, ManyMapperFrameKeepsForkOrderUnderLifoExits) {
+  ExpectSurvivorsInForkOrder(ExitOrder::kLifo);
+}
+
+TEST(RmapKernelTest, ManyMapperFrameKeepsForkOrderUnderRandomExits) {
+  ExpectSurvivorsInForkOrder(ExitOrder::kRandom);
 }
 
 }  // namespace
